@@ -251,7 +251,7 @@ func (s *Session) ensureHydrated() error {
 		return fmt.Errorf("api: hydrating session %s: %w", s.ID, err)
 	}
 	s.sched = sched
-	s.idx = nil
+	s.prep = &prepared{}
 	// Recompute rather than trust the persisted fingerprint: a "file"
 	// recipe may legitimately re-parse a changed file, and the ETag must
 	// tell its readers.

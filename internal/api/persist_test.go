@@ -53,6 +53,7 @@ func (h *persistHarness) stop(t *testing.T) {
 	t.Helper()
 	h.ts.Close()
 	h.srv.Close()
+	h.store.Close()
 	if err := h.ps.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -275,6 +275,41 @@ func TestRenderServedFromCache(t *testing.T) {
 	}
 }
 
+// TestRenderCacheStoresExactBodies renders every image format over HTTP and
+// asserts each stored body's capacity equals its length: the cache bounds
+// len(body), so spare encoder-buffer capacity would be unaccounted heap.
+func TestRenderCacheStoresExactBodies(t *testing.T) {
+	ts, srv := newTestServer(t)
+	id := createUpload(t, ts, "exact")
+	for _, format := range []string{"png", "svg", "pdf"} {
+		resp, err := http.Get(ts.URL + "/api/v1/sessions/" + id + "/render?width=640&height=480&format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s render = %d", format, resp.StatusCode)
+		}
+	}
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	if len(srv.cache.entries) != 3 {
+		t.Fatalf("cache holds %d entries, want 3", len(srv.cache.entries))
+	}
+	var accounted int64
+	for _, el := range srv.cache.entries {
+		e := el.Value.(*renderEntry)
+		if cap(e.body) != len(e.body) {
+			t.Fatalf("%s body: cap %d != len %d", e.contentType, cap(e.body), len(e.body))
+		}
+		accounted += int64(len(e.body))
+	}
+	if accounted != srv.cache.size {
+		t.Fatalf("cache size %d, stored bodies %d", srv.cache.size, accounted)
+	}
+}
+
 // TestConcurrentIdenticalRenders is the thundering-herd case: many clients
 // ask for the same view at once and exactly one rasterization runs.
 func TestConcurrentIdenticalRenders(t *testing.T) {

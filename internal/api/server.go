@@ -523,8 +523,14 @@ func (s *Server) encodeImage(w http.ResponseWriter, r *http.Request, download bo
 	if handleConditional(w, r, etag) {
 		return
 	}
+	// The session validated this schedule revision once; an invalid one
+	// is refused here, before the render cache sees the request.
+	schedule, index, err := sess.ScheduleWithIndex()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "render_failed", "render: %v", err)
+		return
+	}
 	vp.Opts.Workers = s.renderWorkers
-	schedule, index := sess.ScheduleWithIndex()
 	if !vp.Opts.Composites {
 		// The session-cached index matches the schedule as stored; with
 		// composites on, Render derives extra tasks and rebuilds anyway.
@@ -553,7 +559,11 @@ func (s *Server) encodeImage(w http.ResponseWriter, r *http.Request, download bo
 		if err := render.Encode(&buf, format, schedule, vp.Width, vp.Height, vp.Opts); err != nil {
 			return nil, "", err
 		}
-		return buf.Bytes(), ct, nil
+		// The cache accounts len(body); an exact-length copy keeps the
+		// buffer's spare capacity (up to as much again) out of the heap.
+		body := make([]byte, buf.Len())
+		copy(body, buf.Bytes())
+		return body, ct, nil
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "render_failed", "%v", err)
@@ -715,7 +725,6 @@ func (s *Server) tasks(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	schedule := sess.Schedule()
 	q := r.URL.Query()
 	if q.Get("x") != "" || q.Get("y") != "" {
 		x, err0 := strconv.ParseFloat(q.Get("x"), 64)
@@ -729,10 +738,15 @@ func (s *Server) tasks(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad_view_params", "%v", err)
 			return
 		}
+		schedule, index, err := sess.ScheduleWithIndex()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "render_failed", "render: %v", err)
+			return
+		}
 		if vp.Opts.Composites {
 			schedule = schedule.WithComposites()
 		} else {
-			schedule, vp.Opts.Index = sess.ScheduleWithIndex()
+			vp.Opts.Index = index
 		}
 		l := render.ComputeLayout(schedule, float64(vp.Width), float64(vp.Height), vp.Opts)
 		idx, hit := l.HitTest(schedule, x, y)
@@ -743,6 +757,7 @@ func (s *Server) tasks(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"task": taskToJSON(&schedule.Tasks[idx])})
 		return
 	}
+	schedule := sess.Schedule()
 	out := make([]taskJSON, len(schedule.Tasks))
 	for i := range schedule.Tasks {
 		out[i] = taskToJSON(&schedule.Tasks[i])

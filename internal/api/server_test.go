@@ -28,7 +28,9 @@ func newTestAPI(t *testing.T) (*httptest.Server, *Store) {
 // job engine.
 func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
-	srv := NewServer(NewStore())
+	store := NewStore()
+	t.Cleanup(store.Close)
+	srv := NewServer(store)
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

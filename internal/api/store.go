@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,12 +35,12 @@ type Session struct {
 	Source string // "upload", "generated", "file", "viewer"
 
 	mu      sync.RWMutex
-	sched   *core.Schedule    // nil for a recovered session until first access
-	idx     *render.TaskIndex // lazy render index of sched; cleared on Replace
-	rev     int64             // bumped by Replace; part of the ETag of stateless reads
-	fp      uint64            // content fingerprint of the schedule, computed on swap
-	summary Summary           // cached schedule shape, served by list/info reads
-	recipe  *Recipe           // rebuilds sched after a restart; nil = synthesized on persist
+	sched   *core.Schedule // nil for a recovered session until first access
+	prep    *prepared      // render preparation of sched; swapped together with it
+	rev     int64          // bumped by Replace; part of the ETag of stateless reads
+	fp      uint64         // content fingerprint of the schedule, computed on swap
+	summary Summary        // cached schedule shape, served by list/info reads
+	recipe  *Recipe        // rebuilds sched after a restart; nil = synthesized on persist
 
 	store      *Store       // owning store; drop notifications on Replace
 	lastUse    atomic.Int64 // store clock tick of the last Get (LRU eviction)
@@ -51,13 +52,36 @@ type Session struct {
 // server restarts even if the underlying file changed, serving stale 304s.
 func fingerprintOf(s *core.Schedule) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d", len(s.Clusters), s.TotalHosts(), len(s.Tasks))
+	// One reused buffer instead of a fmt call per task: the bytes are those
+	// of the original "%d|%d|%d", "|m:%s=%s" and "|%s/%s/%g/%g/%d" formats
+	// (strconv's 'g' with precision -1 is fmt's %g), so hashes, and the
+	// ETags built on them, stay stable across versions.
+	b := strconv.AppendInt(nil, int64(len(s.Clusters)), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(s.TotalHosts()), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(s.Tasks)), 10)
+	h.Write(b) //nolint:errcheck // hash writes never fail
 	for _, p := range s.Meta {
-		fmt.Fprintf(h, "|m:%s=%s", p.Name, p.Value)
+		b = append(b[:0], "|m:"...)
+		b = append(b, p.Name...)
+		b = append(b, '=')
+		b = append(b, p.Value...)
+		h.Write(b) //nolint:errcheck
 	}
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
-		fmt.Fprintf(h, "|%s/%s/%g/%g/%d", t.ID, t.Type, t.Start, t.End, len(t.Allocations))
+		b = append(b[:0], '|')
+		b = append(b, t.ID...)
+		b = append(b, '/')
+		b = append(b, t.Type...)
+		b = append(b, '/')
+		b = strconv.AppendFloat(b, t.Start, 'g', -1, 64)
+		b = append(b, '/')
+		b = strconv.AppendFloat(b, t.End, 'g', -1, 64)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(len(t.Allocations)), 10)
+		h.Write(b) //nolint:errcheck
 	}
 	return h.Sum64()
 }
@@ -82,30 +106,37 @@ func (s *Session) Schedule() *core.Schedule {
 	return sched
 }
 
+// prepared is what a render needs from a schedule beyond its tasks: the
+// result of Validate and, for a valid schedule, the render task index. It is
+// computed once, on the first render of a schedule revision, and replaced
+// together with the schedule, so the check runs once per revision instead of
+// once per request.
+type prepared struct {
+	once sync.Once
+	idx  *render.TaskIndex // nil when err != nil
+	err  error             // core.Schedule.Validate of the schedule
+}
+
 // ScheduleWithIndex returns the current schedule together with its render
-// task index, building the index on first use and caching it until Replace
-// swaps the schedule. The returned pair is always consistent: when a
-// concurrent Replace wins the race, the caller gets the schedule it started
-// from with a freshly built index rather than a mismatched pair.
-func (s *Session) ScheduleWithIndex() (*core.Schedule, *render.TaskIndex) {
+// task index and its validation result. The first call after a schedule is
+// stored (Add, Put, Replace, or hydration after a restart) validates it and,
+// when valid, builds the index; concurrent first callers share that one
+// computation and every later call reuses it. A non-nil error means the
+// schedule must not be rendered. The returned triple is always consistent:
+// a concurrent Replace never pairs one schedule with another's index.
+func (s *Session) ScheduleWithIndex() (*core.Schedule, *render.TaskIndex, error) {
+	if err := s.ensureHydrated(); err != nil {
+		return &core.Schedule{}, nil, err
+	}
 	s.mu.RLock()
-	sched, idx := s.sched, s.idx
+	sched, p := s.sched, s.prep
 	s.mu.RUnlock()
-	if sched == nil {
-		sched = s.Schedule()
-		s.mu.RLock()
-		idx = s.idx
-		s.mu.RUnlock()
-	}
-	if idx == nil {
-		idx = render.BuildIndex(sched)
-		s.mu.Lock()
-		if s.sched == sched && s.idx == nil {
-			s.idx = idx
+	p.once.Do(func() {
+		if p.err = sched.Validate(); p.err == nil {
+			p.idx = render.BuildIndex(sched)
 		}
-		s.mu.Unlock()
-	}
-	return sched, idx
+	})
+	return sched, p.idx, p.err
 }
 
 // Replace swaps in a new schedule (the viewer's fast-reread path) and bumps
@@ -115,7 +146,7 @@ func (s *Session) Replace(sched *core.Schedule) {
 	sum := summaryOf(sched)
 	s.mu.Lock()
 	s.sched = sched
-	s.idx = nil
+	s.prep = &prepared{}
 	s.fp = fp
 	s.summary = sum
 	s.recipe = nil // the old recipe describes the old schedule
@@ -402,7 +433,7 @@ func (st *Store) PutRecipe(id, name, source string, sched *core.Schedule, rec *R
 func (st *Store) putLocked(id, name, source string, sched *core.Schedule, rec *Recipe) *Session {
 	s := &Session{
 		ID: id, Name: name, Source: source,
-		sched: sched, fp: fingerprintOf(sched), summary: summaryOf(sched),
+		sched: sched, prep: &prepared{}, fp: fingerprintOf(sched), summary: summaryOf(sched),
 		recipe: rec, store: st,
 	}
 	st.touch(s)

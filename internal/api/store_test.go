@@ -2,6 +2,8 @@ package api
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -180,6 +182,49 @@ func TestFingerprintSurvivesRestart(t *testing.T) {
 	// Replace detects content changes too, independent of the revision.
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("fingerprint blind to an added task")
+	}
+}
+
+// fingerprintFmt is the original fmt-based formula of fingerprintOf, kept
+// as the reference the allocation-free version must reproduce byte for
+// byte: persisted fingerprints and every ETag depend on it.
+func fingerprintFmt(s *core.Schedule) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%d|%d", len(s.Clusters), s.TotalHosts(), len(s.Tasks))
+	for _, p := range s.Meta {
+		fmt.Fprintf(h, "|m:%s=%s", p.Name, p.Value)
+	}
+	for i := range s.Tasks {
+		t := &s.Tasks[i]
+		fmt.Fprintf(h, "|%s/%s/%g/%g/%d", t.ID, t.Type, t.Start, t.End, len(t.Allocations))
+	}
+	return h.Sum64()
+}
+
+// TestFingerprintMatchesFmtFormula checks fingerprintOf against the fmt
+// reference on meta properties, zero and negative times, float extremes
+// and non-ASCII text.
+func TestFingerprintMatchesFmtFormula(t *testing.T) {
+	s := demoSchedule()
+	s.SetMeta("generator", "jedgen v2")
+	s.SetMeta("note", "ünïcode = yes|no")
+	times := [][2]float64{
+		{0, 0}, {-0.5, 0}, {-1e300, -1e-300}, {1e21, 1e22}, {1e-7, 123456789.125},
+		{math.SmallestNonzeroFloat64, math.MaxFloat64}, {0.1, 0.30000000000000004},
+		{-3, 7}, {1 << 53, 1<<53 + 2}, {math.Inf(-1), math.Inf(1)},
+	}
+	for i, tm := range times {
+		s.AddTask(core.Task{
+			ID: fmt.Sprintf("x%d", i), Type: "type/" + fmt.Sprint(i), Start: tm[0], End: tm[1],
+			Allocations: make([]core.Allocation, i%3),
+		})
+	}
+	if got, want := fingerprintOf(s), fingerprintFmt(s); got != want {
+		t.Fatalf("fingerprintOf = %#x, fmt reference = %#x", got, want)
+	}
+	empty := &core.Schedule{}
+	if got, want := fingerprintOf(empty), fingerprintFmt(empty); got != want {
+		t.Fatalf("empty schedule: fingerprintOf = %#x, fmt reference = %#x", got, want)
 	}
 }
 

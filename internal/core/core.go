@@ -394,7 +394,7 @@ func (s *Schedule) Validate() error {
 	if len(s.Clusters) == 0 {
 		return fmt.Errorf("core: schedule defines no cluster; at least one is required")
 	}
-	clusterHosts := map[int]int{}
+	clusterHosts := make(map[int]int, len(s.Clusters))
 	for _, c := range s.Clusters {
 		if _, dup := clusterHosts[c.ID]; dup {
 			return fmt.Errorf("core: duplicate cluster id %d", c.ID)
@@ -404,16 +404,18 @@ func (s *Schedule) Validate() error {
 		}
 		clusterHosts[c.ID] = c.Hosts
 	}
-	ids := map[string]bool{}
+	// The ID set is sized up front: growing it incrementally rehashes a
+	// million-task schedule's IDs many times over.
+	ids := make(map[string]struct{}, len(s.Tasks))
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
 		if t.ID == "" {
 			return fmt.Errorf("core: task %d has empty id", i)
 		}
-		if ids[t.ID] {
+		if _, dup := ids[t.ID]; dup {
 			return fmt.Errorf("core: duplicate task id %q", t.ID)
 		}
-		ids[t.ID] = true
+		ids[t.ID] = struct{}{}
 		if t.End < t.Start {
 			return fmt.Errorf("core: task %q ends (%g) before it starts (%g)", t.ID, t.End, t.Start)
 		}

@@ -63,10 +63,12 @@ func ContentType(format string) (string, bool) {
 // w. It is the single options-driven path behind every HTTP render and
 // export endpoint: all formats negotiate the same Options, so a window or
 // cluster selection applied to a PNG applies identically to a PDF.
+//
+// Encode does not validate: the caller must pass a schedule that
+// core.Schedule.Validate accepts. The HTTP servers validate each session
+// schedule once per revision (api.Session.ScheduleWithIndex), not on every
+// request; ToFile, the one-shot command-line path, validates by itself.
 func Encode(w io.Writer, format string, s *core.Schedule, width, height int, opt Options) error {
-	if err := s.Validate(); err != nil {
-		return fmt.Errorf("render: %w", err)
-	}
 	encode := func(fn func() error) error {
 		t0 := time.Now()
 		err := fn()

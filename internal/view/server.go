@@ -304,10 +304,19 @@ func (s *Server) export(w http.ResponseWriter, r *http.Request) {
 			format, strings.Join(render.EncodeFormats(), ", ")), http.StatusBadRequest)
 		return
 	}
-	sched := s.vp.Schedule()
+	// The API session holds the same schedule (reread replaces it) and has
+	// validated it once for every HTTP render.
+	sched, index, err := s.sess.ScheduleWithIndex()
+	if err != nil {
+		http.Error(w, "render: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	opts := render.Options{
 		Mode: s.vp.Mode, Map: s.vp.Map, Clusters: s.vp.SelectedClusters(),
 		Labels: s.vp.Labels, Composites: s.vp.Composites,
+	}
+	if !opts.Composites {
+		opts.Index = index
 	}
 	win := s.vp.Window()
 	if full := sched.Extent(); win != full {
