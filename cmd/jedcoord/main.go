@@ -1,49 +1,44 @@
-// Command jedcoord coordinates one campaign across remote jedserve workers
-// and prints the merged summary — byte-identical to a single-process
-// `campaign` run of the same flags. It speaks two dispatch models:
+// Command jedcoord coordinates one campaign across an elastic fleet of
+// jedserve workers and prints the merged summary — byte-identical to a
+// single-process `campaign` run of the same flags.
 //
-// Static pool (-workers): the factorial is split into k/n shards and each
-// shard is pushed over the listed workers' /api/v1/jobs surface; workers
-// that die are retired after a health probe and their shards reassigned,
-// bounded by a per-shard attempt budget.
-//
-// Elastic fleet (-fleet): jedcoord listens on the given address and workers
-// join it (`jedserve -join http://host:port`). Joined workers hold a
-// heartbeat lease and *pull* shards from the coordinator's queue, so a fast
-// machine naturally takes more of the campaign than a slow one; a shard
-// leased past -lease-ttl is requeued for another worker to steal, and
-// workers may join or leave mid-campaign. -min-workers gates dispatch until
-// enough workers have joined.
+// jedcoord listens on the -fleet address and workers join it (`jedserve
+// -join http://host:port`). Joined workers hold a heartbeat lease and
+// *pull* k/n shards from the coordinator's queue, so a fast machine
+// naturally takes more of the campaign than a slow one; a worker silent
+// for three heartbeat intervals is retired, a shard leased past -lease-ttl
+// is requeued for another worker to steal, and workers may join or leave
+// mid-campaign. -min-workers gates dispatch until enough workers have
+// joined; -max-attempts bounds how often one shard is leased before the
+// run fails.
 //
 // Usage:
 //
-//	jedcoord -workers http://a:8080,http://b:8080 [-shards 4]
 //	jedcoord -fleet 127.0.0.1:9090 [-min-workers 2] [-shards 8]
 //	         [-heartbeat-interval 5s] [-lease-ttl 2m]
 //	         [-algos cpa,mcpa] [-replicates 8] [-seed 1] [-threshold 1.2]
 //	         [-out merged.jsonl] [-resume] [-max-attempts 3]
 //
-// Exactly one of -workers and -fleet must be given. Progress goes to
-// stderr; stdout carries only the summary, so it can be compared (or piped)
-// exactly like the campaign command's. -out streams every fetched cell into
-// a JSONL checkpoint in the cmd/campaign format — `campaign -merge
-// merged.jsonl` reads it — and -resume continues a torn coordinator run
-// without re-dispatching finished shards. In fleet mode GET /api/v1/meta on
-// the fleet address reports the fleet counters.
+// -fleet is required. Progress goes to stderr; stdout carries only the
+// summary, so it can be compared (or piped) exactly like the campaign
+// command's. -out streams every merged cell into a JSONL checkpoint in the
+// cmd/campaign format — `campaign -merge merged.jsonl` reads it — and
+// -resume continues a torn coordinator run without queueing finished
+// shards again. GET /api/v1/meta on the fleet address reports the fleet
+// counters.
 //
-// Observability: every run mints a trace ID (printed on stderr) and sends it
-// as X-Jed-Trace on each worker hop, so one coordinator run is attributable
-// in every worker's access log; -v prints the per-shard span breakdown after
-// the run. In fleet mode GET /api/v1/metrics on the fleet address serves the
-// coordinator's registry (shard timings, fleet counters, worker-protocol
-// request metrics) in the Prometheus text format, and -pprof mounts
-// /debug/pprof/ there.
+// Observability: every run mints a trace ID (printed on stderr) that rides
+// each shard lease, so one coordinator run is attributable in every
+// worker's log; -v prints the per-shard span breakdown after the run. GET
+// /api/v1/metrics on the fleet address serves the coordinator's registry
+// (shard timings, fleet counters, worker-protocol request metrics) in the
+// Prometheus text format, and -pprof mounts /debug/pprof/ there.
 //
 // -state-dir with -run-id journals the run's identity header and every
-// fetched cell into a shared persistence directory (the jedserve
-// -state-dir format) instead of — or alongside — the -out file, so a
-// coordinator restarted on any machine that sees the directory resumes
-// with -resume from exactly where its predecessor stopped.
+// merged cell into a shared persistence directory (the jedserve -state-dir
+// format) instead of — or alongside — the -out file, so a coordinator
+// restarted on any machine that sees the directory resumes with -resume
+// from exactly where its predecessor stopped.
 package main
 
 import (
@@ -71,30 +66,27 @@ import (
 
 func main() {
 	var (
-		workers     = flag.String("workers", "", "comma-separated worker base URLs (static pool mode)")
-		fleetAddr   = flag.String("fleet", "", "listen address for the elastic worker fleet, e.g. :9090 (fleet mode)")
-		minWorkers  = flag.Int("min-workers", 1, "fleet: wait for this many joined workers before dispatching")
-		heartbeat   = flag.Duration("heartbeat-interval", fleet.DefaultHeartbeatInterval, "fleet: advertised heartbeat interval (a worker silent for 3 intervals is retired)")
-		leaseTTL    = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet: how long one worker may hold a shard before it is requeued for stealing")
-		probeTO     = flag.Duration("probe-timeout", 2*time.Second, "static pool: health-probe timeout deciding whether a failing worker is retired")
-		shards      = flag.Int("shards", 0, "number of k/n shards to dispatch (0 = one per worker, or 4x -min-workers in fleet mode)")
+		fleetAddr   = flag.String("fleet", "", "listen address for the elastic worker fleet, e.g. :9090 (required)")
+		minWorkers  = flag.Int("min-workers", 1, "wait for this many joined workers before dispatching")
+		heartbeat   = flag.Duration("heartbeat-interval", fleet.DefaultHeartbeatInterval, "advertised heartbeat interval (a worker silent for 3 intervals is retired)")
+		leaseTTL    = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "how long one worker may hold a shard before it is requeued for stealing")
+		shards      = flag.Int("shards", 0, "number of k/n shards to queue (0 = 4x -min-workers)")
 		algos       = flag.String("algos", "cpa,mcpa", "comma-separated scheduler names to compare")
 		replicates  = flag.Int("replicates", 8, "runs per factorial cell")
 		seed        = flag.Int64("seed", 1, "campaign seed")
 		threshold   = flag.Float64("threshold", 1.2, "corner-case spread threshold")
-		out         = flag.String("out", "", "stream fetched cells to this JSONL checkpoint file")
+		out         = flag.String("out", "", "stream merged cells to this JSONL checkpoint file")
 		stateDir    = flag.String("state-dir", "", "journal run progress into this shared persistence directory (requires -run-id)")
 		runID       = flag.String("run-id", "", "run name inside -state-dir; reuse it with -resume to continue that run")
 		resume      = flag.Bool("resume", false, "skip the shards already complete in -out / the -state-dir journal and append")
-		maxAttempts = flag.Int("max-attempts", 3, "dispatch attempts per shard before the run fails")
-		poll        = flag.Duration("poll", 200*time.Millisecond, "poll pacing against workers without long-poll support")
+		maxAttempts = flag.Int("max-attempts", 3, "leases per shard before the run fails")
 		quiet       = flag.Bool("quiet", false, "suppress progress lines on stderr")
-		pprofOn     = flag.Bool("pprof", false, "fleet mode: mount /debug/pprof/ on the fleet address (off by default)")
+		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof/ on the fleet address (off by default)")
 		verbose     = flag.Bool("v", false, "print the per-shard span breakdown on stderr after the run")
 	)
 	flag.Parse()
-	if (*workers == "") == (*fleetAddr == "") {
-		fmt.Fprintln(os.Stderr, "jedcoord: exactly one of -workers (static pool) and -fleet (elastic fleet) is required")
+	if *fleetAddr == "" {
+		fmt.Fprintln(os.Stderr, "jedcoord: -fleet is required (workers join it with `jedserve -join`)")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -105,9 +97,9 @@ func main() {
 		fail(fmt.Errorf("-resume requires -out or -state-dir"))
 	}
 
-	// Every dispatch carries this run's trace ID in X-Jed-Trace, so the
-	// coordinator's work is attributable in each worker's access log, and
-	// every completed shard appends a timed span for the -v breakdown.
+	// Every shard lease carries this run's trace ID, so the coordinator's
+	// work is attributable in each worker's log, and every completed shard
+	// appends a timed span for the -v breakdown.
 	reg := obs.NewRegistry()
 	trace := obs.NewTrace("")
 
@@ -117,14 +109,13 @@ func main() {
 			Replicates: *replicates,
 			Seed:       *seed,
 		},
-		Shards:       *shards,
-		MaxAttempts:  *maxAttempts,
-		Poll:         *poll,
-		ProbeTimeout: *probeTO,
-		Checkpoint:   *out,
-		Resume:       *resume,
-		Metrics:      reg,
-		Trace:        trace,
+		MinWorkers:  *minWorkers,
+		Shards:      *shards,
+		MaxAttempts: *maxAttempts,
+		Checkpoint:  *out,
+		Resume:      *resume,
+		Metrics:     reg,
+		Trace:       trace,
 	}
 	if *stateDir != "" {
 		ps, err := persist.Open(*stateDir)
@@ -143,33 +134,27 @@ func main() {
 		cfg.Logf = logf
 	}
 
-	// Interrupt cancels the run; in-flight work is cancelled or requeued best
-	// effort, and -out keeps the fetched shards for a later -resume.
+	// Interrupt cancels the run; the fleet drops its queue, and -out keeps
+	// the merged shards for a later -resume.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var m *fleet.Manager
-	if *fleetAddr != "" {
-		m = fleet.NewManager(fleet.Config{
-			HeartbeatInterval: *heartbeat,
-			LeaseTTL:          *leaseTTL,
-			Logf:              cfg.Logf,
-		})
-		fleet.RegisterMetrics(reg, m)
-		srv, err := serveFleet(m, *fleetAddr, reg, *pprofOn)
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		logf("jedcoord: fleet listening on %s (workers join with `jedserve -join http://<this-host>%s`; metrics at /api/v1/metrics)",
-			srv.Addr, srv.Addr)
-		cfg.Fleet = m
-		cfg.MinWorkers = *minWorkers
-		if *minWorkers > 1 {
-			logf("jedcoord: waiting for %d workers to join", *minWorkers)
-		}
-	} else {
-		cfg.Workers = cliutil.SplitList(*workers)
+	m := fleet.NewManager(fleet.Config{
+		HeartbeatInterval: *heartbeat,
+		LeaseTTL:          *leaseTTL,
+		Logf:              cfg.Logf,
+	})
+	fleet.RegisterMetrics(reg, m)
+	srv, err := serveFleet(m, *fleetAddr, reg, *pprofOn)
+	if err != nil {
+		fail(err)
+	}
+	defer srv.Close()
+	logf("jedcoord: fleet listening on %s (workers join with `jedserve -join http://<this-host>%s`; metrics at /api/v1/metrics)",
+		srv.Addr, srv.Addr)
+	cfg.Fleet = m
+	if *minWorkers > 1 {
+		logf("jedcoord: waiting for %d workers to join", *minWorkers)
 	}
 
 	c, err := coord.New(cfg)
@@ -183,12 +168,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "jedcoord: span %-28s %12v\n", sp.Name, sp.Duration.Round(time.Microsecond))
 		}
 	}
-	if m != nil {
-		st := m.Stats()
-		logf("jedcoord: fleet: %d joined, %d retired, %d left; %d leases granted, %d expired, %d shards stolen, %d duplicates discarded",
-			st.WorkersJoined, st.WorkersRetired, st.WorkersLeft,
-			st.LeasesGranted, st.LeasesExpired, st.ShardsStolen, st.DuplicatesDiscarded)
-	}
+	st := m.Stats()
+	logf("jedcoord: fleet: %d joined, %d retired, %d left; %d leases granted, %d expired, %d shards stolen, %d duplicates discarded",
+		st.WorkersJoined, st.WorkersRetired, st.WorkersLeft,
+		st.LeasesGranted, st.LeasesExpired, st.ShardsStolen, st.DuplicatesDiscarded)
 	if err != nil {
 		fail(err)
 	}

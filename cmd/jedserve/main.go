@@ -29,17 +29,16 @@
 //
 // -rate-limit enables per-client-IP throttling of /api/v1/: each client
 // accrues that many requests per second up to -rate-burst (default 2× the
-// rate); beyond it the server answers 429 with a Retry-After. -workers
-// names a static pool of other jedserve instances, turning this server into
-// a campaign coordinator: POST /api/v1/campaigns fans a campaign's shards
-// out over the pool and merges the results.
+// rate); beyond it the server answers 429 with a Retry-After.
 //
-// -fleet instead coordinates campaigns over an *elastic* worker fleet:
-// workers join at /api/v1/workers (run `jedserve -join <this-server>` on
-// each machine), hold a heartbeat lease, and pull shards from the
-// coordinator's queue — capacity grows and shrinks without editing a flag.
-// -min-workers gates each campaign until enough workers have joined;
-// -heartbeat-interval and -lease-ttl tune the liveness protocol.
+// -fleet turns this server into a campaign coordinator over an elastic
+// worker fleet: workers join at /api/v1/workers (run `jedserve -join
+// <this-server>` on each machine), hold a heartbeat lease, and pull shards
+// of every POST /api/v1/campaigns from the coordinator's queue, which
+// merges the results — capacity grows and shrinks without editing a flag.
+// Without -fleet, POST /api/v1/campaigns answers 503. -min-workers gates
+// each campaign until enough workers have joined; -heartbeat-interval and
+// -lease-ttl tune the liveness protocol.
 //
 // -join turns this process into a pure fleet worker: no sessions, no HTTP
 // listener — it registers with the coordinator, heartbeats, and computes
@@ -56,7 +55,8 @@
 // "metrics") so SSE consumers get live counters without polling. -pprof
 // mounts net/http/pprof at /debug/pprof/ — off by default, it exposes heap
 // and CPU profiles. Every request carries an X-Jed-Trace ID (adopted from
-// the request header or minted) that campaign dispatch forwards to workers.
+// the request header or minted) that every campaign shard lease carries to
+// its worker.
 //
 // -state-dir makes the server durable: session descriptors, job records,
 // finished results, and the streamed cells of running campaign jobs are
@@ -78,7 +78,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/cliutil"
 	"repro/internal/fleet"
 	"repro/internal/persist"
 	_ "repro/internal/sched/all"
@@ -95,13 +94,12 @@ func main() {
 		lod           = flag.Bool("lod", false, "default level-of-detail rendering (a request's lod= query parameter overrides)")
 		rateLimit     = flag.Float64("rate-limit", 0, "per-client-IP requests per second on /api/v1/ (0 = unlimited)")
 		rateBurst     = flag.Int("rate-burst", 0, "per-client burst above -rate-limit (0 = 2x the rate)")
-		workers       = flag.String("workers", "", "comma-separated base URLs of remote jedserve workers for POST /api/v1/campaigns (static pool)")
 		fleetOn       = flag.Bool("fleet", false, "coordinate campaigns over an elastic worker fleet (workers join at /api/v1/workers)")
 		minWorkers    = flag.Int("min-workers", 1, "fleet: wait for this many joined workers before a campaign dispatches")
 		heartbeat     = flag.Duration("heartbeat-interval", fleet.DefaultHeartbeatInterval, "fleet: advertised heartbeat interval (a worker silent for 3 intervals is retired)")
 		leaseTTL      = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet: how long one worker may hold a shard before it is requeued for stealing")
 		stateDir      = flag.String("state-dir", "", "journal sessions and jobs into this directory and recover them on restart (empty = in-memory only)")
-		join          = flag.String("join", "", "run as a fleet worker of the coordinator at this base URL (worker mode; excludes -dir, -fleet, -workers)")
+		join          = flag.String("join", "", "run as a fleet worker of the coordinator at this base URL (worker mode; excludes -dir and -fleet)")
 		workerName    = flag.String("worker-name", "", "worker mode: name reported to the coordinator (default: hostname)")
 		workerPoll    = flag.Duration("worker-poll", 500*time.Millisecond, "worker mode: idle lease-poll pacing")
 		pprofOn       = flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/ (off by default)")
@@ -110,8 +108,8 @@ func main() {
 	)
 	flag.Parse()
 	if *join != "" {
-		if *dir != "" || *fleetOn || *workers != "" {
-			fmt.Fprintln(os.Stderr, "jedserve: -join (worker mode) is mutually exclusive with -dir, -fleet, and -workers")
+		if *dir != "" || *fleetOn {
+			fmt.Fprintln(os.Stderr, "jedserve: -join (worker mode) is mutually exclusive with -dir and -fleet")
 			os.Exit(2)
 		}
 		if err := runWorker(*join, *workerName, *workerPoll); err != nil {
@@ -124,17 +122,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *fleetOn && *workers != "" {
-		fmt.Fprintln(os.Stderr, "jedserve: -fleet (elastic pull dispatch) and -workers (static pool) are mutually exclusive")
-		os.Exit(2)
-	}
 	opts := serveOptions{
 		dir: *dir, addr: *addr,
 		maxSessions: *maxSessions, sessionTTL: *sessionTTL,
 		renderWorkers: *renderWorkers, renderCacheMB: *renderCacheMB,
 		lod: *lod, rateLimit: *rateLimit, rateBurst: *rateBurst,
-		workers: *workers,
-		fleet:   *fleetOn, minWorkers: *minWorkers,
+		fleet: *fleetOn, minWorkers: *minWorkers,
 		heartbeat: *heartbeat, leaseTTL: *leaseTTL,
 		stateDir: *stateDir,
 		pprof:    *pprofOn, metricsInterval: *metricsEvery, accessLog: *accessLog,
@@ -153,7 +146,6 @@ type serveOptions struct {
 	lod                          bool
 	rateLimit                    float64
 	rateBurst                    int
-	workers                      string
 	fleet                        bool
 	minWorkers                   int
 	heartbeat, leaseTTL          time.Duration
@@ -215,10 +207,6 @@ func run(o serveOptions) error {
 	srv.SetRenderCacheBytes(int64(o.renderCacheMB) << 20)
 	srv.SetLOD(o.lod)
 	srv.SetRateLimit(o.rateLimit, o.rateBurst)
-	if pool := cliutil.SplitList(o.workers); len(pool) > 0 {
-		srv.SetCoordWorkers(pool)
-		fmt.Printf("jedserve: coordinating campaigns over %d workers\n", len(pool))
-	}
 	if o.fleet {
 		m := fleet.NewManager(fleet.Config{
 			HeartbeatInterval: o.heartbeat,

@@ -20,11 +20,12 @@ type shardEvent struct {
 	coord.ShardProgress
 }
 
-// Coordinated-campaign surface: POST /api/v1/campaigns fans one campaign
-// out over the server's configured worker pool (remote jedserve instances)
-// through the coord subsystem, running as a job on the engine; GET exposes
-// the aggregate per-shard/per-worker progress on top of the job state, and
-// /result serves the merged full factorial once done.
+// Coordinated-campaign surface: POST /api/v1/campaigns queues one campaign's
+// shards on the server's worker fleet (jedserve -join instances pulling
+// from /api/v1/workers) through the coord subsystem, running as a job on
+// the engine; GET exposes the aggregate per-shard/per-worker progress on
+// top of the job state, and /result serves the merged full factorial once
+// done.
 
 // campaignTracker pairs the engine job with its coordinator so progress
 // snapshots survive while the run is in flight. Entries are pruned lazily
@@ -62,14 +63,12 @@ func (t *campaignTracker) prune(e *jobs.Engine) {
 }
 
 // campaignRequest is the body of POST /api/v1/campaigns: the campaign spec
-// plus the fan-out knobs. Workers overrides the server's configured pool
-// for this one campaign; Shard stays forbidden — the coordinator owns the
+// plus the fan-out knobs. Shard stays forbidden — the coordinator owns the
 // sharding.
 type campaignRequest struct {
 	jobs.CampaignSpec
-	Shards      int      `json:"shards,omitempty"`
-	MaxAttempts int      `json:"max_attempts,omitempty"`
-	Workers     []string `json:"coord_workers,omitempty"`
+	Shards      int `json:"shards,omitempty"`
+	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
 // campaignInfo is the wire state of one coordinated campaign: the job plus
@@ -89,7 +88,7 @@ func (s *Server) campaignInfoOf(j *jobs.Job) campaignInfo {
 }
 
 // createCampaign validates the request, builds a coordinator over the
-// worker pool, and runs it as a job on the engine; 202 with the poll URL.
+// worker fleet, and runs it as a job on the engine; 202 with the poll URL.
 func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
 	defer body.Close()
@@ -100,34 +99,23 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_spec", "bad campaign spec: %v", err)
 		return
 	}
-	workers := req.Workers
-	if len(workers) == 0 {
-		workers = s.coordWorkers
+	if s.fleet == nil {
+		writeError(w, http.StatusServiceUnavailable, "no_workers",
+			"no worker fleet configured (start the server with -fleet and its workers with -join)")
+		return
 	}
-	cfg := coord.Config{
+	c, err := coord.New(coord.Config{
+		Fleet:       s.fleet,
+		MinWorkers:  s.fleetMin,
 		Spec:        req.CampaignSpec,
 		Shards:      req.Shards,
 		MaxAttempts: req.MaxAttempts,
 		Metrics:     s.metrics,
 		// The request's trace (minted or adopted by the obs middleware)
-		// follows the campaign to every worker hop, so one ID submitted on
-		// POST /api/v1/campaigns shows up in each worker's access log.
+		// rides every shard lease, so one ID submitted on POST
+		// /api/v1/campaigns shows up in each worker's log.
 		Trace: obs.FromContext(r.Context()),
-	}
-	switch {
-	case len(workers) > 0:
-		// An explicit pool (request or server flag) wins: static push
-		// dispatch, exactly as before the fleet existed.
-		cfg.Workers = workers
-	case s.fleet != nil:
-		cfg.Fleet = s.fleet
-		cfg.MinWorkers = s.fleetMin
-	default:
-		writeError(w, http.StatusServiceUnavailable, "no_workers",
-			"no workers configured (start the server with a worker pool or a fleet, or pass coord_workers)")
-		return
-	}
-	c, err := coord.New(cfg)
+	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_spec", "%v", err)
 		return

@@ -7,17 +7,19 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fleet"
 )
 
-// newWorkerPool starts n worker API servers and returns their base URLs.
-func newWorkerPool(t *testing.T, n int) []string {
+// newCampaignServer is an API server with a fleet of n pull workers
+// joined, ready to run POST /api/v1/campaigns.
+func newCampaignServer(t *testing.T, n int) (*httptest.Server, *Server) {
 	t.Helper()
-	urls := make([]string, n)
-	for i := range urls {
-		ts, _ := newTestServer(t)
-		urls[i] = ts.URL
+	ts, srv := newFleetServer(t, fleet.NewManager(fleet.Config{HeartbeatInterval: 100 * time.Millisecond}), 1)
+	for i := 0; i < n; i++ {
+		startPuller(t, ts.URL, fmt.Sprintf("puller-%d", i))
 	}
-	return urls
+	return ts, srv
 }
 
 // waitCampaign blocks on the engine's wait primitive (not a sleep loop)
@@ -37,11 +39,10 @@ func waitCampaign(t *testing.T, ts *httptest.Server, srv *Server, id string) map
 }
 
 // TestCoordinatedCampaign runs POST /api/v1/campaigns against two real
-// workers and checks the merged result equals a direct (uncoordinated) job
-// on the same spec.
+// pull workers and checks the merged result equals a direct (uncoordinated)
+// job on the same spec.
 func TestCoordinatedCampaign(t *testing.T) {
-	ts, srv := newTestServer(t)
-	srv.SetCoordWorkers(newWorkerPool(t, 2))
+	ts, srv := newCampaignServer(t, 2)
 
 	spec := fmt.Sprintf(smallJobSpec, `, "shards": 4`)
 	code, info := doJSON(t, "POST", ts.URL+"/api/v1/campaigns", strings.NewReader(spec), "application/json")
@@ -94,34 +95,19 @@ func TestCoordinatedCampaign(t *testing.T) {
 	}
 }
 
-// TestCoordinatedCampaignWorkerOverride runs with workers named in the
-// request body instead of the server pool.
-func TestCoordinatedCampaignWorkerOverride(t *testing.T) {
-	ts, srv := newTestServer(t)
-	pool := newWorkerPool(t, 1)
-	body := fmt.Sprintf(`{"algos": ["cpa", "mcpa"], "shapes": ["serial"], "dag_sizes": [15],
-		"cluster_sizes": [16], "replicates": 2, "seed": 3, "coord_workers": [%q]}`, pool[0])
-	code, info := doJSON(t, "POST", ts.URL+"/api/v1/campaigns", strings.NewReader(body), "application/json")
-	if code != 202 {
-		t.Fatalf("create campaign = %d %v", code, info)
-	}
-	final := waitCampaign(t, ts, srv, info["id"].(string))
-	if final["state"] != "done" {
-		t.Fatalf("final state = %v (error %v)", final["state"], final["error"])
-	}
-}
-
 func TestCoordinatedCampaignBadInputs(t *testing.T) {
-	ts, srv := newTestServer(t)
-
-	// No worker pool configured: campaigns are unavailable.
-	code, _ := doJSON(t, "POST", ts.URL+"/api/v1/campaigns",
+	// No fleet configured: campaigns are unavailable.
+	bare, _ := newTestServer(t)
+	code, body := doJSON(t, "POST", bare.URL+"/api/v1/campaigns",
 		strings.NewReader(fmt.Sprintf(smallJobSpec, "")), "application/json")
 	if code != 503 {
 		t.Fatalf("no workers = %d, want 503", code)
 	}
+	if e := body["error"].(map[string]any); e["code"] != "no_workers" || !strings.Contains(e["message"].(string), "-fleet") {
+		t.Fatalf("no-workers error = %v, want code no_workers pointing at -fleet", e)
+	}
 
-	srv.SetCoordWorkers(newWorkerPool(t, 1))
+	ts, _ := newCampaignServer(t, 1)
 	for name, check := range map[string]struct {
 		method, url, body string
 		want              int
@@ -152,8 +138,7 @@ func TestCoordinatedCampaignBadInputs(t *testing.T) {
 // TestCoordinatedCampaignResultTooSoon pins the 409 while the fan-out is
 // still running, plus cancellation through the campaign surface.
 func TestCoordinatedCampaignCancel(t *testing.T) {
-	ts, srv := newTestServer(t)
-	srv.SetCoordWorkers(newWorkerPool(t, 1))
+	ts, srv := newCampaignServer(t, 1)
 	// Heavy enough that cancellation strikes before completion.
 	body := `{"algos": ["cpa", "mcpa"], "replicates": 6, "seed": 5, "shards": 8}`
 	code, info := doJSON(t, "POST", ts.URL+"/api/v1/campaigns", strings.NewReader(body), "application/json")

@@ -2,7 +2,7 @@ package api
 
 // Fleet surface tests: SetFleet mounts the worker protocol on the API mux,
 // exposes the counters on /api/v1/meta, and routes POST /api/v1/campaigns
-// through the pull queue when no static pool is configured.
+// through the pull queue.
 
 import (
 	"context"
@@ -25,6 +25,23 @@ func newFleetServer(t *testing.T, m *fleet.Manager, minWorkers int) (*httptest.S
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv
+}
+
+// startPuller runs a fleet worker loop against the server at url until the
+// test ends.
+func startPuller(t *testing.T, url, name string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	t.Cleanup(func() { cancel(); <-done })
+	go func() {
+		defer close(done)
+		fleet.RunWorker(ctx, fleet.WorkerConfig{ //nolint:errcheck // exits on cancel
+			Coordinator: url,
+			Name:        name,
+			Poll:        10 * time.Millisecond,
+		})
+	}()
 }
 
 // TestFleetWorkersEndpoint pins the mounted protocol: join over HTTP, see
@@ -71,24 +88,13 @@ func TestFleetWorkersEndpoint(t *testing.T) {
 	}
 }
 
-// TestFleetCampaign runs POST /api/v1/campaigns with no static pool: the
-// campaign dispatches through the fleet's pull queue and the merged result
-// equals a direct in-process job of the same spec.
+// TestFleetCampaign runs POST /api/v1/campaigns through the fleet's pull
+// queue: the merged result equals a direct in-process job of the same spec,
+// and the fleet counters on /api/v1/meta saw every shard.
 func TestFleetCampaign(t *testing.T) {
 	m := fleet.NewManager(fleet.Config{HeartbeatInterval: 100 * time.Millisecond})
 	ts, srv := newFleetServer(t, m, 1)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	workerDone := make(chan struct{})
-	t.Cleanup(func() { cancel(); <-workerDone })
-	go func() {
-		defer close(workerDone)
-		fleet.RunWorker(ctx, fleet.WorkerConfig{ //nolint:errcheck // exits on cancel
-			Coordinator: ts.URL,
-			Name:        "puller",
-			Poll:        10 * time.Millisecond,
-		})
-	}()
+	startPuller(t, ts.URL, "puller")
 
 	spec := fmt.Sprintf(smallJobSpec, `, "shards": 4`)
 	code, info := doJSON(t, "POST", ts.URL+"/api/v1/campaigns", strings.NewReader(spec), "application/json")

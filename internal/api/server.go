@@ -41,8 +41,7 @@ type Server struct {
 	renderWorkers int  // render.Options.Workers for every rasterization; 0 = GOMAXPROCS
 	lodDefault    bool // render.Options.LOD when the request has no lod= param
 	limiter       *rateLimiter
-	coordWorkers  []string       // static remote worker pool for POST /api/v1/campaigns
-	fleet         *fleet.Manager // elastic pull-based pool; serves /api/v1/workers
+	fleet         *fleet.Manager // worker fleet for POST /api/v1/campaigns; serves /api/v1/workers
 	fleetMin      int            // fleet campaigns wait for this many workers
 	campaigns     campaignTracker
 	bus           *events.Bus   // the broadcast bus behind GET /api/v1/events
@@ -142,17 +141,11 @@ func (s *Server) SetRateLimit(rate float64, burst int) {
 	s.limiter = newRateLimiter(rate, burst)
 }
 
-// SetCoordWorkers configures the remote worker pool POST /api/v1/campaigns
-// fans out to (base URLs of jedserve instances). Call before serving.
-func (s *Server) SetCoordWorkers(workers []string) {
-	s.coordWorkers = append([]string(nil), workers...)
-}
-
 // SetFleet mounts the elastic worker fleet: the manager's worker protocol is
-// served under /api/v1/workers and coordinated campaigns without a static
-// pool dispatch through its pull queue. minWorkers is how many joined
-// workers a campaign waits for before queueing shards (0 means 1). Call
-// before serving.
+// served under /api/v1/workers and coordinated campaigns dispatch through
+// its pull queue (without a fleet, POST /api/v1/campaigns answers 503
+// no_workers). minWorkers is how many joined workers a campaign waits for
+// before queueing shards (0 means 1). Call before serving.
 func (s *Server) SetFleet(m *fleet.Manager, minWorkers int) {
 	s.fleet = m
 	s.fleetMin = minWorkers
@@ -616,7 +609,6 @@ func (s *Server) metaSnapshot() map[string]any {
 		"session_ttl_seconds":  s.store.TTL().Seconds(),
 		"render_cache":         cacheStats,
 		"rate_limit":           limitStats,
-		"coord_workers":        len(s.coordWorkers),
 		"lod_default":          s.lodDefault,
 		"lod_renders":          s.mLodRenders.Value(),
 		"lod_tasks_aggregated": s.mLodTasks.Value(),

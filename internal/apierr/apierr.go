@@ -7,8 +7,7 @@
 // rate_limited, campaign_header_mismatch, ...), message is human-readable,
 // and detail is optional context. Writers across internal/api, internal/
 // fleet, and internal/view all go through Write, so the contract cannot
-// drift between subsystems; clients go through Decode, which also still
-// understands the legacy flat {"error": "message"} shape of pre-v1 servers.
+// drift between subsystems; clients go through Decode.
 package apierr
 
 import (
@@ -48,23 +47,12 @@ func WriteDetail(w http.ResponseWriter, status int, code, detail, format string,
 	}})
 }
 
-// Decode extracts the error envelope from a response body. It understands
-// both the structured v1 shape and the legacy flat {"error": "message"}
-// string, so clients can talk to servers from before the envelope existed.
-// ok reports whether any recognizable envelope was present.
+// Decode extracts the error envelope from a response body. ok reports
+// whether a non-empty envelope was present.
 func Decode(raw []byte) (e E, ok bool) {
-	var probe struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if json.Unmarshal(raw, &probe) != nil || len(probe.Error) == 0 {
+	var env envelope
+	if json.Unmarshal(raw, &env) != nil || (env.Error.Code == "" && env.Error.Message == "") {
 		return E{}, false
 	}
-	if json.Unmarshal(probe.Error, &e) == nil && (e.Code != "" || e.Message != "") {
-		return e, true
-	}
-	var msg string
-	if json.Unmarshal(probe.Error, &msg) == nil && msg != "" {
-		return E{Message: msg}, true
-	}
-	return E{}, false
+	return env.Error, true
 }

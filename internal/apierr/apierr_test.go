@@ -50,8 +50,7 @@ func TestDecode(t *testing.T) {
 			E{Code: "rate_limited", Message: "slow down", Detail: "1 rps"}, true},
 		{"structured no detail", `{"error":{"code":"bad_wait","message":"bad duration"}}`,
 			E{Code: "bad_wait", Message: "bad duration"}, true},
-		{"legacy flat string", `{"error":"job j9 not found"}`,
-			E{Message: "job j9 not found"}, true},
+		{"legacy flat string", `{"error":"job j9 not found"}`, E{}, false},
 		{"empty object", `{"error":{}}`, E{}, false},
 		{"empty string", `{"error":""}`, E{}, false},
 		{"no error key", `{"status":"ok"}`, E{}, false},

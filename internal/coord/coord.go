@@ -1,20 +1,20 @@
 // Package coord is the distributed campaign coordinator: it splits one
-// campaign into k/n shards along the deterministic cell enumeration,
-// dispatches each shard to a pool of remote workers over the /api/v1/jobs
-// surface (every worker is just a jedserve instance), and merges the
-// fetched shard results into the full factorial — byte-identical to a
+// campaign into k/n shards along the deterministic cell enumeration, queues
+// them on an elastic worker fleet (internal/fleet), and merges the verified
+// shard results into the full factorial — byte-identical to a
 // single-process run, because cells depend only on (config, index), never
 // on which machine computed them.
 //
-// The coordinator is fault-tolerant. A worker that stops answering — down
-// at dispatch, or dying mid-shard — is retired after a failed health probe
-// and its shard is reassigned to the survivors, bounded by a per-shard
-// attempt budget. Every fetched result is verified against the campaign
-// identity header before merging, the same guard the REST ?merge= path
-// enforces, so a restarted worker recycling job IDs can never smuggle cells
-// of a different campaign into the merge. Fetched cells stream into a local
-// JSONL checkpoint (the cmd/campaign format), so a torn coordinator resumes
-// without re-running finished shards.
+// Workers join the fleet and pull shards at their own pace, so a fast
+// machine takes more of the campaign than a slow one. Liveness is the
+// fleet's business: a worker that misses heartbeats is retired and a shard
+// held past its lease is stolen back, bounded by a per-shard attempt
+// budget. Every completion is verified against the campaign identity header
+// before it is merged, so no worker can smuggle cells of a different
+// campaign into the result. Merged cells stream into a local JSONL
+// checkpoint (the cmd/campaign format) and, optionally, a run journal in a
+// persistence store, so a torn coordinator resumes without re-running
+// finished shards.
 package coord
 
 import (
@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/coord/client"
 	"repro/internal/fleet"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -41,42 +39,26 @@ import (
 // runNS is the persistence namespace coordinated runs journal into.
 const runNS = "runs"
 
-// defaultProbeTimeout bounds the is-this-worker-alive probe that decides
-// between "retry the shard here" and "retire the worker" (static pools;
-// Config.ProbeTimeout overrides).
-const defaultProbeTimeout = 2 * time.Second
-
 // Config describes one coordinated campaign.
 type Config struct {
-	// Workers are the base URLs of the jedserve workers, e.g.
-	// "http://host:8080" — the static push-dispatch pool. Exactly one of
-	// Workers and Fleet must be set.
-	Workers []string
-	// Fleet switches dispatch to the elastic pull model: shards go onto the
-	// manager's queue and joined workers lease them at their own pace, so a
-	// fast machine naturally takes more of the campaign than a slow one.
+	// Fleet is the worker fleet the shards are queued on (required): joined
+	// workers lease them at their own pace, so a fast machine naturally
+	// takes more of the campaign than a slow one.
 	Fleet *fleet.Manager
-	// MinWorkers makes a fleet run wait until that many workers have joined
-	// before queueing the first shard (0 means 1). Fleet mode only.
+	// MinWorkers makes the run wait until that many workers have joined
+	// before queueing the first shard (0 means 1).
 	MinWorkers int
 	// Spec is the campaign to run. Spec.Shard must be empty — sharding is
 	// the coordinator's job.
 	Spec jobs.CampaignSpec
-	// Shards is the number of k/n partitions to dispatch; 0 means one per
-	// worker. More shards than workers gives finer-grained reassignment
-	// when a worker dies.
+	// Shards is the number of k/n partitions to queue; 0 means four per
+	// MinWorkers. Small shards are what lets a fast worker overtake a slow
+	// one, and they bound the work lost when a worker dies.
 	Shards int
-	// MaxAttempts bounds how often one shard may be dispatched before the
-	// run fails (0 means 3).
+	// MaxAttempts bounds how often one shard may be leased before the run
+	// fails (0 means 3).
 	MaxAttempts int
-	// Poll paces the per-job wait loop against workers that ignore the
-	// ?wait= long-poll (0 means 200ms).
-	Poll time.Duration
-	// ProbeTimeout bounds the health probe deciding whether a failing
-	// static-pool worker is retired (0 means 2s). Static mode only — fleet
-	// liveness is heartbeat-lease based.
-	ProbeTimeout time.Duration
-	// Checkpoint is the path of the local JSONL checkpoint the fetched
+	// Checkpoint is the path of the local JSONL checkpoint the merged
 	// cells stream into ("" disables). The file uses the cmd/campaign
 	// format, so `campaign -merge` reads it directly.
 	Checkpoint string
@@ -96,20 +78,19 @@ type Config struct {
 	// OnCell, when set, observes every newly recorded cell (serialized on
 	// the coordinator goroutine) — the aggregate-progress hook.
 	OnCell func(campaign.Cell)
-	// OnShard, when set, observes every shard state transition the
-	// coordinator records (dispatch, requeue, completion) with the
-	// post-transition snapshot — the event-bus hook.
+	// OnShard, when set, observes every shard the coordinator marks done
+	// (completed by a worker, or already covered by a resumed checkpoint)
+	// with the post-transition snapshot — the event-bus hook.
 	OnShard func(ShardProgress)
 	// Logf, when set, receives human-readable progress lines.
 	Logf func(format string, args ...any)
-	// Metrics, when set, receives shard dispatch/retry/throttle counters
-	// and the per-shard wall-time histogram (jed_coord_*). Nil is fine:
-	// the handles still work, they just aren't exported anywhere.
+	// Metrics, when set, receives the completed-shard counter and the
+	// per-shard wall-time histogram (jed_coord_*). Nil is fine: the handles
+	// still work, they just aren't exported anywhere.
 	Metrics *obs.Registry
-	// Trace, when set, is propagated to every worker hop (the X-Jed-Trace
-	// header on static dispatch, the lease assignment on fleet dispatch)
-	// and collects one span per completed shard, so `jedcoord -v` can
-	// print where the run's wall time went.
+	// Trace, when set, is propagated to every worker through the lease
+	// assignment and collects one span per completed shard, so `jedcoord
+	// -v` can print where the run's wall time went.
 	Trace *obs.Trace
 }
 
@@ -122,10 +103,10 @@ type ShardProgress struct {
 	Attempts int    `json:"attempts"`
 }
 
-// WorkerProgress is the state of one worker in a Progress snapshot.
+// WorkerProgress is the state of one fleet worker in a Progress snapshot.
 type WorkerProgress struct {
-	URL   string `json:"url"`
-	State string `json:"state"` // live | dead
+	URL   string `json:"url"`   // the worker's fleet ID, plus its name in parentheses
+	State string `json:"state"` // active | draining
 }
 
 // Progress is a point-in-time snapshot of a coordinated run.
@@ -148,30 +129,24 @@ type Coordinator struct {
 	shards int
 
 	mu        sync.Mutex
-	shardStat []ShardProgress // index k-1
-	workers   []WorkerProgress
+	shardStat []ShardProgress       // index k-1
 	cells     map[int]campaign.Cell // released once Run returns
 	cellsDone int
 	started   bool
-	fleetRun  *fleet.Run // live shard queue while a fleet run is in flight
+	fleetRun  *fleet.Run // live shard queue while the run is in flight
 
 	// Metric handles, resolved once in New so series exist (at zero)
 	// before the first shard completes. Nil-registry safe.
 	mShardSeconds *obs.Histogram
 	mDispatched   *obs.Counter
-	mRetries      *obs.Counter
-	mThrottled    *obs.Counter
 }
 
 // New validates the configuration and resolves the campaign. The spec is
 // resolved with the same code path workers use, so the coordinator's idea
 // of the cell enumeration and identity header matches theirs exactly.
 func New(cfg Config) (*Coordinator, error) {
-	if len(cfg.Workers) == 0 && cfg.Fleet == nil {
-		return nil, fmt.Errorf("coord: no workers and no fleet")
-	}
-	if len(cfg.Workers) > 0 && cfg.Fleet != nil {
-		return nil, fmt.Errorf("coord: static workers and a fleet are mutually exclusive")
+	if cfg.Fleet == nil {
+		return nil, fmt.Errorf("coord: no worker fleet")
 	}
 	if cfg.Spec.Shard != "" {
 		return nil, fmt.Errorf("coord: spec must not set shard %q (sharding is the coordinator's job)", cfg.Spec.Shard)
@@ -183,20 +158,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Fleet != nil && cfg.MinWorkers < 1 {
+	if cfg.MinWorkers < 1 {
 		cfg.MinWorkers = 1
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = defaultProbeTimeout
-	}
 	if cfg.Shards == 0 {
-		if cfg.Fleet != nil {
-			// Pull dispatch wants finer granularity than one-per-worker:
-			// small shards are what lets a fast worker overtake a slow one.
-			cfg.Shards = 4 * cfg.MinWorkers
-		} else {
-			cfg.Shards = len(cfg.Workers)
-		}
+		cfg.Shards = 4 * cfg.MinWorkers
 	}
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("coord: bad shard count %d", cfg.Shards)
@@ -207,9 +173,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MaxAttempts < 1 {
 		return nil, fmt.Errorf("coord: bad attempt budget %d", cfg.MaxAttempts)
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 200 * time.Millisecond
-	}
 	c := &Coordinator{
 		cfg:    cfg,
 		ccfg:   ccfg,
@@ -219,28 +182,21 @@ func New(cfg Config) (*Coordinator, error) {
 		cells:  map[int]campaign.Cell{},
 	}
 	if c.shards > len(c.specs) {
-		// More shards than cells would dispatch provably empty jobs.
+		// More shards than cells would queue provably empty shards.
 		c.shards = len(c.specs)
 	}
 	c.mShardSeconds = cfg.Metrics.Histogram("jed_coord_shard_seconds",
 		"Wall time of one completed shard dispatch, in seconds.", obs.DefBuckets())
 	c.mDispatched = cfg.Metrics.Counter("jed_coord_shards_dispatched_total",
-		"Shard dispatch attempts (static submits and fleet completions).")
-	c.mRetries = cfg.Metrics.Counter("jed_coord_shard_retries_total",
-		"Shards requeued after a worker failure.")
-	c.mThrottled = cfg.Metrics.Counter("jed_coord_shard_throttled_total",
-		"Shards requeued on a worker's 429 backoff (attempt budget not burned).")
+		"Shards completed by fleet workers and merged.")
 	c.shardStat = make([]ShardProgress, c.shards)
 	for k := 1; k <= c.shards; k++ {
 		c.shardStat[k-1] = ShardProgress{Shard: k, State: "pending"}
 	}
-	for _, url := range cfg.Workers {
-		c.workers = append(c.workers, WorkerProgress{URL: url, State: "live"})
-	}
 	return c, nil
 }
 
-// Header returns the campaign identity every fetched shard is checked
+// Header returns the campaign identity every completed shard is checked
 // against.
 func (c *Coordinator) Header() campaign.Header { return c.header }
 
@@ -274,9 +230,9 @@ func (c *Coordinator) SetPersist(ps persist.Store, runID string) {
 // Cells returns the size of the full factorial.
 func (c *Coordinator) Cells() int { return len(c.specs) }
 
-// Progress snapshots the run. In fleet mode the worker list reflects the
-// manager's live registry (workers join and leave at will) and the running
-// shard states come from the fleet's lease table.
+// Progress snapshots the run. The worker list reflects the fleet's live
+// registry (workers join and leave at will) and the running shard states
+// come from the fleet's lease table.
 func (c *Coordinator) Progress() Progress {
 	c.mu.Lock()
 	if run := c.fleetRun; run != nil {
@@ -293,7 +249,6 @@ func (c *Coordinator) Progress() Progress {
 		Cells:     len(c.specs),
 		CellsDone: c.cellsDone,
 		Shard:     append([]ShardProgress(nil), c.shardStat...),
-		Workers:   append([]WorkerProgress(nil), c.workers...),
 	}
 	for _, s := range c.shardStat {
 		if s.State == "done" {
@@ -301,14 +256,12 @@ func (c *Coordinator) Progress() Progress {
 		}
 	}
 	c.mu.Unlock()
-	if c.cfg.Fleet != nil {
-		for _, w := range c.cfg.Fleet.Workers() {
-			name := w.ID
-			if w.Name != "" {
-				name = fmt.Sprintf("%s (%s)", w.ID, w.Name)
-			}
-			p.Workers = append(p.Workers, WorkerProgress{URL: name, State: w.State})
+	for _, w := range c.cfg.Fleet.Workers() {
+		name := w.ID
+		if w.Name != "" {
+			name = fmt.Sprintf("%s (%s)", w.ID, w.Name)
 		}
+		p.Workers = append(p.Workers, WorkerProgress{URL: name, State: w.State})
 	}
 	return p
 }
@@ -317,33 +270,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
 	}
-}
-
-// maxThrottleRetries bounds how often one shard may be re-dispatched on
-// 429s before throttling starts counting against the attempt budget — a
-// worker that grants nothing for this many backoffs is effectively stuck.
-const maxThrottleRetries = 64
-
-// task is one dispatchable shard plus its retry bookkeeping.
-type task struct {
-	k         int
-	attempts  int
-	throttles int
-	// notBefore delays the dispatch — the backoff a 429'd worker asked for.
-	notBefore time.Time
-}
-
-// outcome is what a worker goroutine reports back for one task.
-type outcome struct {
-	t      task
-	worker int // index into cfg.Workers
-	cells  []campaign.Cell
-	err    error
-	dead   bool // the worker failed its health probe and retired
-	// throttled marks a failure that was the worker's rate limiter (429);
-	// retryAfter is how long it asked to back off.
-	throttled  bool
-	retryAfter time.Duration
 }
 
 // Run executes the coordinated campaign and returns the merged full
@@ -370,8 +296,20 @@ func (c *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 		return nil, err
 	}
 	defer closeCP()
-	if err := c.openRunJournal(); err != nil {
+	journaled, err := c.openRunJournal()
+	if err != nil {
 		return nil, err
+	}
+	if cw != nil {
+		// Cells only the journal held must reach the checkpoint too, or a
+		// resumed checkpoint stays short of the full factorial and
+		// `campaign -merge` rejects it.
+		sort.Slice(journaled, func(i, j int) bool { return journaled[i].Index < journaled[j].Index })
+		for _, cell := range journaled {
+			if err := cw.writer.WriteCell(cell); err != nil {
+				return nil, fmt.Errorf("coord: checkpoint: %w", err)
+			}
+		}
 	}
 
 	// Shards whose cells all came out of the resumed checkpoint are done
@@ -389,12 +327,7 @@ func (c *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 	}
 
 	if len(pending) > 0 {
-		if c.cfg.Fleet != nil {
-			err = c.dispatchFleet(ctx, pending, cw)
-		} else {
-			err = c.dispatch(ctx, pending, cw)
-		}
-		if err != nil {
+		if err := c.dispatch(ctx, pending, cw); err != nil {
 			return nil, err
 		}
 	}
@@ -424,31 +357,32 @@ func runCellKey(runID string, index int) string {
 // cells preload into the cell map exactly like a file resume; otherwise any
 // stale record under this run ID is dropped and a fresh identity header is
 // written durably, so the next resume can verify the journal belongs here.
-func (c *Coordinator) openRunJournal() error {
+// It returns the preloaded cells the cell map did not already hold.
+func (c *Coordinator) openRunJournal() ([]campaign.Cell, error) {
 	ps := c.cfg.Persist
 	if ps == nil {
-		return nil
+		return nil, nil
 	}
 	id := c.cfg.RunID
 	if c.cfg.Resume {
 		raw, ok, err := ps.Get(runNS, id+"/header")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if ok {
 			var h campaign.Header
 			if err := json.Unmarshal(raw, &h); err != nil {
-				return fmt.Errorf("coord: run %s: corrupt persisted header: %w", id, err)
+				return nil, fmt.Errorf("coord: run %s: corrupt persisted header: %w", id, err)
 			}
 			if err := h.Matches(c.ccfg); err != nil {
-				return fmt.Errorf("coord: run %s: %w (use a fresh run ID to start over)", id, err)
+				return nil, fmt.Errorf("coord: run %s: %w (use a fresh run ID to start over)", id, err)
 			}
 			all, err := ps.Load(runNS)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			prefix := id + "/c/"
-			n := 0
+			var fresh []campaign.Cell
 			c.mu.Lock()
 			for k, v := range all {
 				if !strings.HasPrefix(k, prefix) {
@@ -461,30 +395,30 @@ func (c *Coordinator) openRunJournal() error {
 				if _, dup := c.cells[cell.Index]; !dup {
 					c.cells[cell.Index] = cell
 					c.cellsDone++
-					n++
+					fresh = append(fresh, cell)
 				}
 			}
 			c.mu.Unlock()
-			c.logf("coord: resuming run %s from store: %d journaled cells", id, n)
-			return nil
+			c.logf("coord: resuming run %s from store: %d journaled cells", id, len(fresh))
+			return fresh, nil
 		}
 	}
 	if err := ps.DeletePrefix(runNS, id+"/"); err != nil {
-		return err
+		return nil, err
 	}
 	b, err := json.Marshal(c.header)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return ps.PutDurable(runNS, id+"/header", b)
+	return nil, ps.PutDurable(runNS, id+"/header", b)
 }
 
-// dispatchFleet runs the pending shards through the elastic fleet: wait for
+// dispatch runs the pending shards through the elastic fleet: wait for
 // the worker quorum, put the shards on the pull queue, and fold verified
 // completions into the cell map as they arrive. Lease expiry, stealing, and
 // retirement all happen inside the manager; from here a dead worker is just
 // a shard that comes back from someone else.
-func (c *Coordinator) dispatchFleet(ctx context.Context, pending []int, cw *checkpointFile) error {
+func (c *Coordinator) dispatch(ctx context.Context, pending []int, cw *checkpointFile) error {
 	m := c.cfg.Fleet
 	if n := c.cfg.MinWorkers; m.ActiveWorkers() < n {
 		c.logf("coord: waiting for %d fleet workers (have %d)", n, m.ActiveWorkers())
@@ -555,196 +489,6 @@ func (c *Coordinator) dispatchFleet(ctx context.Context, pending []int, cw *chec
 	return nil
 }
 
-// dispatch fans the pending shards out over the worker pool and collects
-// the results, reassigning the shards of retired workers.
-func (c *Coordinator) dispatch(ctx context.Context, pending []int, cw *checkpointFile) error {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	queue := make(chan task, c.shards) // never more than c.shards outstanding
-	results := make(chan outcome)
-	var wg sync.WaitGroup
-	for i := range c.cfg.Workers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl := client.New(c.cfg.Workers[i])
-			cl.Logf = c.cfg.Logf // surfaces "subscribed to events" / fallback notes
-			cl.Trace = c.cfg.Trace.ID()
-			for t := range queue {
-				if wait := time.Until(t.notBefore); wait > 0 {
-					// Honor the backoff of a throttled requeue; a cancelled
-					// run falls through and fails fast inside runShard.
-					select {
-					case <-runCtx.Done():
-					case <-time.After(wait):
-					}
-				}
-				o := c.runShard(runCtx, cl, i, t)
-				results <- o
-				if o.dead {
-					return // retired: stop pulling tasks
-				}
-			}
-		}(i)
-	}
-	for _, k := range pending {
-		queue <- task{k: k, attempts: 1}
-	}
-
-	live := len(c.cfg.Workers)
-	remaining := len(pending)
-	var runErr error
-	for remaining > 0 && runErr == nil {
-		o := <-results
-		if o.dead {
-			live--
-			c.setWorkerState(o.worker, "dead")
-			c.logf("coord: worker %s retired: %v", c.cfg.Workers[o.worker], o.err)
-		}
-		if o.err != nil {
-			if ctx.Err() != nil {
-				runErr = ctx.Err()
-				break
-			}
-			if o.throttled && o.t.throttles < maxThrottleRetries {
-				// The worker is alive and asked for backoff: requeue without
-				// burning the attempt budget, delayed per its Retry-After.
-				c.setShardState(o.t.k, func(s *ShardProgress) {
-					s.State, s.Worker, s.Job = "pending", "", ""
-				})
-				c.mThrottled.Inc()
-				c.logf("coord: shard %d/%d throttled, retrying in %v", o.t.k, c.shards, o.retryAfter)
-				queue <- task{
-					k: o.t.k, attempts: o.t.attempts, throttles: o.t.throttles + 1,
-					notBefore: time.Now().Add(o.retryAfter),
-				}
-				continue
-			}
-			switch {
-			case o.t.attempts >= c.cfg.MaxAttempts:
-				runErr = fmt.Errorf("coord: shard %d/%d failed after %d attempts: %w",
-					o.t.k, c.shards, o.t.attempts, o.err)
-			case live == 0:
-				runErr = fmt.Errorf("coord: no live workers left (shard %d/%d pending): %w",
-					o.t.k, c.shards, o.err)
-			default:
-				c.setShardState(o.t.k, func(s *ShardProgress) {
-					s.State, s.Worker, s.Job = "pending", "", ""
-				})
-				c.mRetries.Inc()
-				c.logf("coord: requeueing shard %d/%d (attempt %d): %v", o.t.k, c.shards, o.t.attempts, o.err)
-				queue <- task{k: o.t.k, attempts: o.t.attempts + 1}
-			}
-			continue
-		}
-		if err := c.recordCells(o.t.k, o.cells, cw); err != nil {
-			runErr = err
-			continue
-		}
-		c.setShardState(o.t.k, func(s *ShardProgress) { s.State = "done" })
-		remaining--
-	}
-	cancel() // abort in-flight remote waits before draining
-	close(queue)
-	go func() { wg.Wait(); close(results) }()
-	for range results {
-		// Drain outcomes of workers that were mid-shard when the run ended.
-	}
-	return runErr
-}
-
-// runShard drives one shard on one worker: submit, wait, fetch, verify.
-func (c *Coordinator) runShard(ctx context.Context, cl *client.Client, worker int, t task) outcome {
-	start := time.Now()
-	c.mDispatched.Inc()
-	spec := c.cfg.Spec
-	spec.Shard = fmt.Sprintf("%d/%d", t.k, c.shards)
-	c.setShardState(t.k, func(s *ShardProgress) {
-		s.State, s.Worker, s.Job, s.Attempts = "running", cl.Base, "", t.attempts
-	})
-
-	j, err := cl.Submit(ctx, spec)
-	if err != nil {
-		return c.classify(cl, worker, t, fmt.Errorf("submit: %w", err))
-	}
-	id := j.ID // j is zeroed on a failed Wait; keep the ID for messages
-	c.setShardState(t.k, func(s *ShardProgress) { s.Job = id })
-	c.logf("coord: shard %s -> %s as job %s", spec.Shard, cl.Base, id)
-
-	j, err = cl.Wait(ctx, id, c.cfg.Poll)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Best effort: don't leave the remote job burning CPU.
-			cancelCtx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-			cl.Cancel(cancelCtx, id) //nolint:errcheck // the worker may be gone with the run
-			cancel()
-		}
-		return c.classify(cl, worker, t, fmt.Errorf("wait for job %s: %w", id, err))
-	}
-	if j.State != string(jobs.Done) {
-		return c.classify(cl, worker, t, fmt.Errorf("job %s finished %s: %s", id, j.State, j.Error))
-	}
-	res, err := cl.Result(ctx, id)
-	if err != nil {
-		return c.classify(cl, worker, t, fmt.Errorf("fetch result of job %s: %w", id, err))
-	}
-	// The identity guard: a worker restart reuses job IDs, so never merge a
-	// result that does not prove it belongs to this campaign.
-	if err := res.Header.Equal(c.header); err != nil {
-		return c.classify(cl, worker, t, fmt.Errorf("job %s: %w", id, err))
-	}
-	for _, cell := range res.Cells {
-		if cell.Index < 0 || cell.Index >= len(c.specs) || cell.Index%c.shards != t.k-1 {
-			return c.classify(cl, worker, t,
-				fmt.Errorf("job %s returned cell %d outside shard %s", id, cell.Index, spec.Shard))
-		}
-	}
-	elapsed := time.Since(start)
-	c.mShardSeconds.Observe(elapsed.Seconds())
-	c.cfg.Trace.AddSpan(fmt.Sprintf("shard %d/%d %s", t.k, c.shards, cl.Base), start, elapsed)
-	return outcome{t: t, worker: worker, cells: res.Cells}
-}
-
-// classify turns a shard failure into an outcome, probing the worker's
-// health to decide whether it should be retired: failures with a dead
-// health endpoint retire the worker, everything else leaves it in the pool
-// for the retry. A 429 — from the worker's own rate limiter — is proof of
-// life, never grounds for retirement, whether it struck the shard request
-// or the probe itself.
-func (c *Coordinator) classify(cl *client.Client, worker int, t task, err error) outcome {
-	o := outcome{t: t, worker: worker, err: err}
-	if backoff, ok := throttleBackoff(err, c.cfg.Poll); ok {
-		o.throttled, o.retryAfter = true, backoff
-		return o
-	}
-	probeCtx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-	defer cancel()
-	if probeErr := cl.Health(probeCtx); probeErr != nil {
-		if backoff, ok := throttleBackoff(probeErr, c.cfg.Poll); ok {
-			o.throttled, o.retryAfter = true, backoff
-		} else {
-			o.dead = true
-		}
-	}
-	return o
-}
-
-// throttleBackoff reports whether the error is the worker's rate limiter
-// answering 429 — an alive worker asking for backoff — and for how long
-// (the Retry-After header, floored at the poll pacing).
-func throttleBackoff(err error, floor time.Duration) (time.Duration, bool) {
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
-		return 0, false
-	}
-	backoff := apiErr.RetryAfter
-	if backoff < floor {
-		backoff = floor
-	}
-	return backoff, true
-}
-
 // shardCovered reports whether every cell of shard k is already recorded.
 func (c *Coordinator) shardCovered(k int) bool {
 	c.mu.Lock()
@@ -761,7 +505,7 @@ func (c *Coordinator) shardCovered(k int) bool {
 	return true
 }
 
-// recordCells folds a fetched shard into the cell map, appending the cells
+// recordCells folds a completed shard into the cell map, appending the cells
 // not already persisted to the checkpoint and firing OnCell for each.
 func (c *Coordinator) recordCells(k int, cells []campaign.Cell, cw *checkpointFile) error {
 	c.mu.Lock()
@@ -809,12 +553,6 @@ func (c *Coordinator) setShardState(k int, mut func(*ShardProgress)) {
 	if fn != nil {
 		fn(snap)
 	}
-}
-
-func (c *Coordinator) setWorkerState(i int, state string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers[i].State = state
 }
 
 // result assembles the merged full-factorial result from the recorded cells

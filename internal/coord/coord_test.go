@@ -1,27 +1,28 @@
 package coord_test
 
-// The coordinator tests run real api.Server instances as workers (the same
-// handler jedserve serves), so dispatch, long-poll, result fetch, and the
-// campaign-identity guard are exercised over genuine HTTP. The package is
-// an external test package because api imports coord.
+// The coordinator tests queue shards on a real fleet.Manager served over
+// httptest and let real fleet.RunWorker loops pull them, so leasing,
+// completion verification, retirement and the merge are exercised over
+// genuine HTTP. Failure paths use injected runners (a worker computing the
+// wrong campaign, one that always fails) and a transport that cuts a worker
+// off mid-run, the in-process stand-in for a machine that crashed.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"io"
+	"errors"
+	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/coord"
+	"repro/internal/fleet"
 	"repro/internal/jobs"
 	_ "repro/internal/sched/all"
 )
@@ -54,15 +55,6 @@ func singleProcess(t *testing.T, spec jobs.CampaignSpec) *campaign.Result {
 	return res
 }
 
-func newWorker(t *testing.T) *httptest.Server {
-	t.Helper()
-	srv := api.NewServer(api.NewStore())
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts
-}
-
 // summaryOf renders the canonical summary text used for byte-equality
 // comparisons.
 func summaryOf(t *testing.T, res *campaign.Result) string {
@@ -74,33 +66,90 @@ func summaryOf(t *testing.T, res *campaign.Result) string {
 	return sb.String()
 }
 
-// jobCount asks a worker how many jobs it has accepted so far.
-func jobCount(t *testing.T, workerURL string) int {
+// fastFleet is a fleet whose dead workers are retired within 300ms (three
+// missed 100ms heartbeats) and whose leases never expire during a test, so
+// a shard only changes hands through retirement.
+func fastFleet(t *testing.T) (*fleet.Manager, string) {
 	t.Helper()
-	resp, err := http.Get(workerURL + "/api/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
+	return newFleet(t, fleet.Config{
+		HeartbeatInterval: 100 * time.Millisecond,
+		LeaseTTL:          time.Minute,
+	})
+}
+
+// errGone is what every request of a dead worker fails with.
+var errGone = errors.New("worker machine gone")
+
+// dyingTransport carries one worker's protocol traffic until the worker
+// "dies", then fails every request: no completion, no heartbeat and no
+// graceful leave reach the coordinator, exactly as after a machine crash.
+// With dieOnLease the worker dies when its first shard is granted, before
+// the assignment reaches it.
+type dyingTransport struct {
+	dieOnLease bool
+	once       sync.Once
+	gone       chan struct{} // closed on death
+}
+
+func newDyingTransport(dieOnLease bool) *dyingTransport {
+	return &dyingTransport{dieOnLease: dieOnLease, gone: make(chan struct{})}
+}
+
+func (d *dyingTransport) die() { d.once.Do(func() { close(d.gone) }) }
+
+func (d *dyingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	select {
+	case <-d.gone:
+		return nil, errGone
+	default:
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Jobs []any `json:"jobs"`
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && d.dieOnLease && resp.StatusCode == http.StatusOK && strings.HasSuffix(r.URL.Path, "/lease") {
+		resp.Body.Close()
+		d.die()
+		return nil, errGone
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	return resp, err
+}
+
+// runAfter is a runner that holds its shard until gone is closed, so the
+// worker using it cannot finish the campaign before the other one dies.
+func runAfter(gone <-chan struct{}) fleet.Runner {
+	return func(ctx context.Context, a *fleet.Assignment) (campaign.Header, []campaign.Cell, error) {
+		select {
+		case <-gone:
+		case <-ctx.Done():
+			return campaign.Header{}, nil, ctx.Err()
+		}
+		return fleet.RunAssignment(ctx, a)
 	}
-	return len(out.Jobs)
+}
+
+// shardsDoneBy reports how many shards the named registered worker
+// completed (-1 when no such worker is registered).
+func shardsDoneBy(m *fleet.Manager, name string) int {
+	for _, w := range m.Workers() {
+		if w.Name == name {
+			return w.ShardsDone
+		}
+	}
+	return -1
 }
 
 // TestCoordinatedMatchesSingleProcess is the acceptance path: two workers,
-// four shards, merged result byte-identical to the in-process run.
+// four shards, merged result byte-identical to the in-process run, with
+// every cell observed once and every worker still registered.
 func TestCoordinatedMatchesSingleProcess(t *testing.T) {
-	w1, w2 := newWorker(t), newWorker(t)
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "w-a", nil)
+	startFleetWorker(t, url, "w-b", nil)
 	var cells int64
 	c, err := coord.New(coord.Config{
-		Workers: []string{w1.URL, w2.URL},
-		Spec:    testSpec(),
-		Shards:  4,
-		OnCell:  func(campaign.Cell) { atomic.AddInt64(&cells, 1) },
+		Fleet:      m,
+		MinWorkers: 2,
+		Spec:       testSpec(),
+		Shards:     4,
+		OnCell:     func(campaign.Cell) { atomic.AddInt64(&cells, 1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,25 +169,27 @@ func TestCoordinatedMatchesSingleProcess(t *testing.T) {
 	if p.ShardsDone != 4 || p.CellsDone != len(want.Cells) {
 		t.Fatalf("progress = %+v", p)
 	}
+	if len(p.Workers) != 2 {
+		t.Fatalf("progress workers = %+v, want both registered", p.Workers)
+	}
 	for _, wp := range p.Workers {
-		if wp.State != "live" {
+		if wp.State != "active" {
 			t.Fatalf("worker %s = %s", wp.URL, wp.State)
 		}
 	}
 }
 
-// TestWorkerDownAtDispatch points one pool slot at a dead address: its
-// shards must be reassigned to the live worker and the merged output stay
+// TestWorkerDownAtDispatch has one of the two quorum workers go down just
+// as its first shard is dispatched: the lease is granted but never
+// received. The coordinator retires the silent worker on missed heartbeats,
+// the live worker takes every shard, and the merged output stays
 // byte-identical.
 func TestWorkerDownAtDispatch(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // nothing listens: dials fail at dispatch
-	live := newWorker(t)
-	c, err := coord.New(coord.Config{
-		Workers: []string{dead.URL, live.URL},
-		Spec:    testSpec(),
-		Shards:  4,
-	})
+	m, url := fastFleet(t)
+	down := newDyingTransport(true)
+	runWorker(t, fleet.WorkerConfig{Coordinator: url, Name: "down", HTTP: &http.Client{Transport: down}})
+	startFleetWorker(t, url, "live", runAfter(down.gone))
+	c, err := coord.New(coord.Config{Fleet: m, MinWorkers: 2, Spec: testSpec(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,53 +198,36 @@ func TestWorkerDownAtDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := summaryOf(t, res), summaryOf(t, singleProcess(t, testSpec())); got != want {
-		t.Fatalf("summary differs after dispatch failure:\n%s\nvs\n%s", got, want)
+		t.Fatalf("summary differs with a worker down:\n%s\nvs\n%s", got, want)
 	}
-	states := map[string]string{}
-	for _, wp := range c.Progress().Workers {
-		states[wp.URL] = wp.State
+	if n := shardsDoneBy(m, "live"); n != 4 {
+		t.Fatalf("live worker completed %d shards, want 4", n)
 	}
-	if states[dead.URL] != "dead" || states[live.URL] != "live" {
-		t.Fatalf("worker states = %v", states)
-	}
-}
-
-// flakyWorker proxies a real worker until it has accepted one job, then
-// fails every request — the deterministic stand-in for a worker dying
-// mid-shard: the job was accepted, then the machine went away, and health
-// probes fail too. The kill is synchronous with the accepting request, so
-// the very next poll is guaranteed to hit a dead worker.
-type flakyWorker struct {
-	inner  http.Handler
-	killed atomic.Bool
-}
-
-func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if f.killed.Load() {
-		http.Error(w, "worker gone", http.StatusBadGateway)
-		return
-	}
-	f.inner.ServeHTTP(w, r)
-	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/jobs") {
-		f.killed.Store(true)
+	if st := m.Stats(); st.WorkersRetired != 1 || st.LeasesExpired < 1 {
+		t.Fatalf("fleet stats = %+v, want the down worker retired and its lease requeued", st)
 	}
 }
 
-// TestWorkerDiesMidShard kills a worker right after it accepted a job; the
-// shard must be reassigned and the merged output stay byte-identical.
+// TestWorkerDiesMidShard cuts a worker off while it holds a shard: its
+// result never arrives, the coordinator retires it on missed heartbeats,
+// the shard goes to the survivor, and the merged output stays
+// byte-identical.
 func TestWorkerDiesMidShard(t *testing.T) {
-	stable := newWorker(t)
-	srv := api.NewServer(api.NewStore())
-	t.Cleanup(srv.Close)
-	flaky := &flakyWorker{inner: srv.Handler()}
-	flakyTS := httptest.NewServer(flaky)
-	t.Cleanup(flakyTS.Close)
-
-	c, err := coord.New(coord.Config{
-		Workers: []string{flakyTS.URL, stable.URL},
-		Spec:    testSpec(),
-		Shards:  4,
+	m, url := fastFleet(t)
+	dying := newDyingTransport(false)
+	runWorker(t, fleet.WorkerConfig{
+		Coordinator: url,
+		Name:        "dying",
+		HTTP:        &http.Client{Transport: dying},
+		Run: func(ctx context.Context, a *fleet.Assignment) (campaign.Header, []campaign.Cell, error) {
+			dying.die()
+			return fleet.RunAssignment(ctx, a)
+		},
 	})
+	// The stable worker holds back until the other one has died holding a
+	// shard, so the death always strikes mid-shard.
+	startFleetWorker(t, url, "stable", runAfter(dying.gone))
+	c, err := coord.New(coord.Config{Fleet: m, MinWorkers: 2, Spec: testSpec(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,46 +238,44 @@ func TestWorkerDiesMidShard(t *testing.T) {
 	if got, want := summaryOf(t, res), summaryOf(t, singleProcess(t, testSpec())); got != want {
 		t.Fatalf("summary differs after mid-shard death:\n%s\nvs\n%s", got, want)
 	}
-	for _, wp := range c.Progress().Workers {
-		if wp.URL == flakyTS.URL && wp.State != "dead" {
-			t.Fatalf("flaky worker not retired: %+v", c.Progress().Workers)
-		}
+	if st := m.Stats(); st.WorkersRetired < 1 || st.ShardsCompleted != 4 {
+		t.Fatalf("fleet stats = %+v, want the dead worker retired and 4 shards completed", st)
+	}
+	if n := shardsDoneBy(m, "stable"); n != 4 {
+		t.Fatalf("stable worker completed %d shards, want 4", n)
 	}
 }
 
-// stubWorker mimics the job API but every job it accepts reports failure —
-// an alive but useless worker, for exhausting the per-shard attempt budget.
-func stubWorker(t *testing.T) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	fail := func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
-			"id": "j1", "kind": "campaign", "state": "failed",
-			"progress": map[string]int{"done": 0, "total": 0},
-			"error":    "stub always fails",
-		})
+// TestAllWorkersDead pins the no-live-workers mode: when the only worker
+// dies as its first shard is dispatched, the run neither succeeds nor hangs past its context. It
+// waits for a replacement, with the dead worker retired and its shard
+// handed back to the queue.
+func TestAllWorkersDead(t *testing.T) {
+	m, url := fastFleet(t)
+	dying := newDyingTransport(true)
+	runWorker(t, fleet.WorkerConfig{Coordinator: url, Name: "only", HTTP: &http.Client{Transport: dying}})
+	c, err := coord.New(coord.Config{Fleet: m, MinWorkers: 1, Spec: testSpec(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mux.HandleFunc("POST /api/v1/jobs", fail)
-	mux.HandleFunc("GET /api/v1/jobs/{id}", fail)
-	mux.HandleFunc("GET /api/v1/meta", func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte("{}")) //nolint:errcheck
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if _, err := c.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run with no live workers = %v, want the context deadline", err)
+	}
+	if st := m.Stats(); st.WorkersRetired != 1 || st.LeasesExpired < 1 || st.ShardsCompleted != 0 {
+		t.Fatalf("fleet stats = %+v, want the worker retired and its lease requeued", st)
+	}
 }
 
 // TestShardAttemptsExhausted pins that a shard failing on a healthy worker
 // burns the attempt budget and fails the run (rather than looping forever).
 func TestShardAttemptsExhausted(t *testing.T) {
-	stub := stubWorker(t)
-	c, err := coord.New(coord.Config{
-		Workers:     []string{stub.URL},
-		Spec:        testSpec(),
-		Shards:      1,
-		MaxAttempts: 2,
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "broken", func(context.Context, *fleet.Assignment) (campaign.Header, []campaign.Cell, error) {
+		return campaign.Header{}, nil, errors.New("runner always fails")
 	})
+	c, err := coord.New(coord.Config{Fleet: m, Spec: testSpec(), Shards: 1, MaxAttempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,84 +285,66 @@ func TestShardAttemptsExhausted(t *testing.T) {
 	}
 }
 
-// TestAllWorkersDead pins the no-live-workers failure mode.
-func TestAllWorkersDead(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	c, err := coord.New(coord.Config{
-		Workers: []string{dead.URL},
-		Spec:    testSpec(),
-		Shards:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Fatal("run with no live workers succeeded")
-	}
-}
-
 // TestHeaderGuard pins the campaign-identity check: a worker answering with
-// cells of a different campaign (a restarted worker recycling job IDs) must
-// never be merged.
+// cells of a different campaign must never be merged. Its completion is
+// rejected for the header mismatch and the run fails once the shard's
+// attempt budget is spent.
 func TestHeaderGuard(t *testing.T) {
-	// A worker that truthfully runs a *different* campaign: it rewrites the
-	// submitted spec's seed, so the job lifecycle is genuine but the result
-	// header mismatches the coordinator's.
-	srv := api.NewServer(api.NewStore())
-	t.Cleanup(srv.Close)
-	inner := srv.Handler()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec map[string]any
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		spec["seed"] = float64(999)
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		r2 := r.Clone(r.Context())
-		r2.Body = io.NopCloser(bytes.NewReader(raw))
-		r2.ContentLength = int64(len(raw))
-		inner.ServeHTTP(w, r2)
+	m, url := fastFleet(t)
+	var mu sync.Mutex
+	var logs []string
+	runWorker(t, fleet.WorkerConfig{
+		Coordinator: url,
+		Name:        "foreign",
+		// The worker truthfully runs a *different* campaign: same shard,
+		// another seed, so its result header mismatches the coordinator's.
+		Run: func(ctx context.Context, a *fleet.Assignment) (campaign.Header, []campaign.Cell, error) {
+			a.Spec.Seed = 999
+			return fleet.RunAssignment(ctx, a)
+		},
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
 	})
-	mux.Handle("/", inner)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-
-	c, err := coord.New(coord.Config{
-		Workers:     []string{ts.URL},
-		Spec:        testSpec(),
-		Shards:      1,
-		MaxAttempts: 1,
-	})
+	c, err := coord.New(coord.Config{Fleet: m, Spec: testSpec(), Shards: 1, MaxAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "header") {
-		t.Fatalf("err = %v, want header mismatch", err)
+	if err == nil || !strings.Contains(err.Error(), "after 1 attempts") {
+		t.Fatalf("err = %v, want the shard failed after its one attempt", err)
+	}
+	if st := m.Stats(); st.ShardsCompleted != 0 {
+		t.Fatalf("a foreign result was accepted: %+v", st)
+	}
+	// The worker's log line can trail the run's end by one round trip.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		joined := strings.Join(logs, "\n")
+		mu.Unlock()
+		if strings.Contains(joined, "rejected") && strings.Contains(joined, "header") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never saw a header rejection; log:\n%s", joined)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // TestCheckpointAndResume tears a coordinator checkpoint mid-record and
-// resumes it: finished shards are not re-dispatched, and the final summary
+// resumes it: finished shards are not queued again, and the final summary
 // is byte-identical to the first run's.
 func TestCheckpointAndResume(t *testing.T) {
-	w := newWorker(t)
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "w", nil)
 	path := filepath.Join(t.TempDir(), "coord.jsonl")
 
-	// First run writes the full checkpoint: one job per shard on the worker.
-	c1, err := coord.New(coord.Config{
-		Workers:    []string{w.URL},
-		Spec:       testSpec(),
-		Shards:     4,
-		Checkpoint: path,
-	})
+	// First run writes the full checkpoint: one completion per shard.
+	c1, err := coord.New(coord.Config{Fleet: m, Spec: testSpec(), Shards: 4, Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,20 +352,12 @@ func TestCheckpointAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := jobCount(t, w.URL); n != 4 {
-		t.Fatalf("first run dispatched %d jobs, want 4", n)
+	if n := m.Stats().ShardsCompleted; n != 4 {
+		t.Fatalf("first run completed %d shards, want 4", n)
 	}
 
 	// The checkpoint is the cmd/campaign format: loadable, full campaign.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := campaign.LoadCheckpoint(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := loadCheckpoint(t, path)
 	if len(cp.Cells) != len(res1.Cells) {
 		t.Fatalf("checkpoint holds %d cells, want %d", len(cp.Cells), len(res1.Cells))
 	}
@@ -365,14 +371,8 @@ func TestCheckpointAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resume: only the torn record's shard is re-dispatched (job 5).
-	c2, err := coord.New(coord.Config{
-		Workers:    []string{w.URL},
-		Spec:       testSpec(),
-		Shards:     4,
-		Checkpoint: path,
-		Resume:     true,
-	})
+	// Resume: only the torn record's shard is queued again.
+	c2, err := coord.New(coord.Config{Fleet: m, Spec: testSpec(), Shards: 4, Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,19 +383,11 @@ func TestCheckpointAndResume(t *testing.T) {
 	if got, want := summaryOf(t, res2), summaryOf(t, res1); got != want {
 		t.Fatalf("resumed summary differs:\n%s\nvs\n%s", got, want)
 	}
-	if n := jobCount(t, w.URL); n != 5 {
-		t.Fatalf("resume left %d jobs on the worker, want 5 (one re-dispatched shard)", n)
+	if n := m.Stats().ShardsCompleted; n != 5 {
+		t.Fatalf("resume brought completions to %d, want 5 (one shard run again)", n)
 	}
 	// The repaired checkpoint loads cleanly and is complete again.
-	f, err = os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err = campaign.LoadCheckpoint(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp = loadCheckpoint(t, path)
 	if err := cp.Result().Complete(cp.Header.Cells); err != nil {
 		t.Fatalf("repaired checkpoint incomplete: %v", err)
 	}
@@ -403,13 +395,7 @@ func TestCheckpointAndResume(t *testing.T) {
 	// Resuming with different campaign flags must refuse.
 	other := testSpec()
 	other.Seed = 999
-	c3, err := coord.New(coord.Config{
-		Workers:    []string{w.URL},
-		Spec:       other,
-		Shards:     4,
-		Checkpoint: path,
-		Resume:     true,
-	})
+	c3, err := coord.New(coord.Config{Fleet: m, Spec: other, Shards: 4, Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,27 +404,46 @@ func TestCheckpointAndResume(t *testing.T) {
 	}
 }
 
+// loadCheckpoint reads a JSONL checkpoint the way `campaign -merge` does.
+func loadCheckpoint(t *testing.T, path string) *campaign.Checkpoint {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cp, err := campaign.LoadCheckpoint(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
 // TestConfigValidation covers New's rejects plus the run-once guard.
 func TestConfigValidation(t *testing.T) {
+	m, url := fastFleet(t)
 	spec := testSpec()
 	if _, err := coord.New(coord.Config{Spec: spec}); err == nil {
-		t.Error("no workers accepted")
+		t.Error("config without a fleet accepted")
 	}
 	withShard := spec
 	withShard.Shard = "1/2"
-	if _, err := coord.New(coord.Config{Workers: []string{"http://x"}, Spec: withShard}); err == nil {
+	if _, err := coord.New(coord.Config{Fleet: m, Spec: withShard}); err == nil {
 		t.Error("pre-sharded spec accepted")
 	}
 	bad := spec
 	bad.Algos = []string{"cpa"}
-	if _, err := coord.New(coord.Config{Workers: []string{"http://x"}, Spec: bad}); err == nil {
+	if _, err := coord.New(coord.Config{Fleet: m, Spec: bad}); err == nil {
 		t.Error("one-algo spec accepted")
 	}
-	if _, err := coord.New(coord.Config{Workers: []string{"http://x"}, Spec: spec, Shards: -1}); err == nil {
+	if _, err := coord.New(coord.Config{Fleet: m, Spec: spec, Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	w := newWorker(t)
-	c, err := coord.New(coord.Config{Workers: []string{w.URL}, Spec: spec, Shards: 1})
+	if _, err := coord.New(coord.Config{Fleet: m, Spec: spec, MaxAttempts: -1}); err == nil {
+		t.Error("negative attempt budget accepted")
+	}
+	startFleetWorker(t, url, "w", nil)
+	c, err := coord.New(coord.Config{Fleet: m, Spec: spec, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,13 +458,14 @@ func TestConfigValidation(t *testing.T) {
 // TestCancelMidRun pins that cancelling the coordinator's context aborts
 // the run with an error instead of hanging.
 func TestCancelMidRun(t *testing.T) {
-	w := newWorker(t)
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "w", nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c, err := coord.New(coord.Config{
-		Workers: []string{w.URL},
-		Spec:    testSpec(),
-		Shards:  4,
+		Fleet:  m,
+		Spec:   testSpec(),
+		Shards: 4,
 		// Strike as soon as the first shard lands, while others are pending.
 		OnCell: func(campaign.Cell) { cancel() },
 	})
@@ -468,56 +474,5 @@ func TestCancelMidRun(t *testing.T) {
 	}
 	if _, err := c.Run(ctx); err == nil {
 		t.Fatal("cancelled run succeeded")
-	}
-}
-
-// throttlingWorker answers 429 (the worker-side rate limiter) to the first
-// n submits, then proxies everything to the real worker.
-type throttlingWorker struct {
-	inner     http.Handler
-	remaining atomic.Int64
-}
-
-func (f *throttlingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/jobs") && f.remaining.Add(-1) >= 0 {
-		http.Error(w, `{"error": "rate limit exceeded"}`, http.StatusTooManyRequests)
-		return
-	}
-	f.inner.ServeHTTP(w, r)
-}
-
-// TestThrottledWorkerNotRetired pins that a 429 from a worker's rate
-// limiter is proof of life: the shard retries with backoff, without
-// burning the attempt budget (4 consecutive 429s against MaxAttempts 2),
-// the worker stays in the pool, and the run completes byte-identically.
-func TestThrottledWorkerNotRetired(t *testing.T) {
-	srv := api.NewServer(api.NewStore())
-	t.Cleanup(srv.Close)
-	throttling := &throttlingWorker{inner: srv.Handler()}
-	throttling.remaining.Store(4)
-	ts := httptest.NewServer(throttling)
-	t.Cleanup(ts.Close)
-
-	c, err := coord.New(coord.Config{
-		Workers:     []string{ts.URL},
-		Spec:        testSpec(),
-		Shards:      2,
-		MaxAttempts: 2,
-		Poll:        10 * time.Millisecond, // also the throttle-backoff floor
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := summaryOf(t, res), summaryOf(t, singleProcess(t, testSpec())); got != want {
-		t.Fatalf("summary differs after throttling:\n%s\nvs\n%s", got, want)
-	}
-	for _, wp := range c.Progress().Workers {
-		if wp.State != "live" {
-			t.Fatalf("throttled worker retired: %+v", c.Progress().Workers)
-		}
 	}
 }

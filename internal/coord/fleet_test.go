@@ -1,9 +1,9 @@
 package coord_test
 
-// Fleet-mode coordinator tests: real fleet.Manager behind a real HTTP
-// handler, real fleet.RunWorker loops pulling shards, and the coordinator
-// merging their completions — the elastic counterpart of the static-pool
-// tests above, held to the same byte-identical standard.
+// Elasticity tests: real fleet.Manager behind a real HTTP handler, real
+// fleet.RunWorker loops pulling shards, and the coordinator merging their
+// completions while workers stall, steal and join, held to the same
+// byte-identical standard as a single-process run.
 
 import (
 	"context"
@@ -45,16 +45,18 @@ func newFleet(t *testing.T, cfg fleet.Config) (*fleet.Manager, string) {
 // the genuine shard computation.
 func startFleetWorker(t *testing.T, url, name string, runner fleet.Runner) {
 	t.Helper()
+	runWorker(t, fleet.WorkerConfig{Coordinator: url, Name: name, Run: runner})
+}
+
+// runWorker runs one worker loop with a fast idle poll until the test ends.
+func runWorker(t *testing.T, cfg fleet.WorkerConfig) {
+	t.Helper()
+	cfg.Poll = 10 * time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		fleet.RunWorker(ctx, fleet.WorkerConfig{ //nolint:errcheck // exits on cancel
-			Coordinator: url,
-			Name:        name,
-			Poll:        10 * time.Millisecond,
-			Run:         runner,
-		})
+		fleet.RunWorker(ctx, cfg) //nolint:errcheck // exits on cancel
 	}()
 	t.Cleanup(func() { cancel(); <-done })
 }
@@ -214,18 +216,14 @@ func TestFleetWorkerJoinsMidRun(t *testing.T) {
 	}
 }
 
-// TestFleetConfigValidation pins the fleet-mode rejects.
+// TestFleetConfigValidation pins the fleet reject and the quorum-scaled
+// default shard count.
 func TestFleetConfigValidation(t *testing.T) {
 	m := fleet.NewManager(fleet.Config{})
-	if _, err := coord.New(coord.Config{
-		Workers: []string{"http://x"}, Fleet: m, Spec: testSpec(),
-	}); err == nil {
-		t.Error("static pool + fleet accepted")
-	}
 	if _, err := coord.New(coord.Config{Spec: testSpec()}); err == nil {
-		t.Error("neither pool nor fleet accepted")
+		t.Error("config without a fleet accepted")
 	}
-	// Default shard count in fleet mode scales with the quorum.
+	// The default shard count scales with the quorum.
 	c, err := coord.New(coord.Config{Fleet: m, MinWorkers: 2, Spec: wideSpec()})
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,13 @@ package coord_test
 import (
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/coord"
+	"repro/internal/fleet"
 	"repro/internal/jobs"
 	"repro/internal/persist"
 )
@@ -23,7 +25,8 @@ func TestRunJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	worker := newWorker(t)
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "w", nil)
 
 	// First coordinator: one worker processes the four 1-cell shards
 	// serially; cancel after the first recorded cell tears the run down
@@ -32,7 +35,7 @@ func TestRunJournalResume(t *testing.T) {
 	defer cancel()
 	var firstRun int64
 	c1, err := coord.New(coord.Config{
-		Workers: []string{worker.URL},
+		Fleet:   m,
 		Spec:    testSpec(),
 		Shards:  4,
 		Persist: ps,
@@ -58,7 +61,7 @@ func TestRunJournalResume(t *testing.T) {
 	// single-process run byte for byte.
 	var secondRun int64
 	c2, err := coord.New(coord.Config{
-		Workers: []string{worker.URL},
+		Fleet:   m,
 		Spec:    testSpec(),
 		Shards:  4,
 		Persist: ps,
@@ -110,9 +113,10 @@ func TestRunJournalHeaderMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	worker := newWorker(t)
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "w", nil)
 	c, err := coord.New(coord.Config{
-		Workers: []string{worker.URL},
+		Fleet:   m,
 		Spec:    testSpec(),
 		Shards:  2,
 		Persist: ps,
@@ -128,7 +132,7 @@ func TestRunJournalHeaderMismatch(t *testing.T) {
 
 	// Without Resume the stale journal is simply replaced.
 	c2, err := coord.New(coord.Config{
-		Workers: []string{worker.URL},
+		Fleet:   m,
 		Spec:    testSpec(),
 		Shards:  2,
 		Persist: ps,
@@ -145,11 +149,75 @@ func TestRunJournalHeaderMismatch(t *testing.T) {
 func TestPersistNeedsRunID(t *testing.T) {
 	ps := persist.Memory()
 	_, err := coord.New(coord.Config{
-		Workers: []string{"http://example.invalid"},
+		Fleet:   fleet.NewManager(fleet.Config{}),
 		Spec:    jobs.CampaignSpec{Algos: []string{"cpa", "mcpa"}},
 		Persist: ps,
 	})
 	if err == nil {
 		t.Fatal("Persist without RunID accepted")
+	}
+}
+
+// TestResumedCheckpointHoldsJournaledCells resumes a run from its store
+// journal into a fresh checkpoint file: the file must end up holding the
+// whole factorial, journaled cells included, so `campaign -merge` of it
+// reproduces the single-process summary.
+func TestResumedCheckpointHoldsJournaledCells(t *testing.T) {
+	ps, err := persist.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "w", nil)
+	dir := t.TempDir()
+
+	// Run 1 journals and checkpoints to a.jsonl until the first cell lands.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c1, err := coord.New(coord.Config{
+		Fleet:      m,
+		Spec:       testSpec(),
+		Shards:     4,
+		Persist:    ps,
+		RunID:      "r1",
+		Checkpoint: filepath.Join(dir, "a.jsonl"),
+		OnCell:     func(campaign.Cell) { cancel() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Run(ctx); err == nil {
+		t.Fatal("interrupted run reported success")
+	}
+
+	// Run 2 resumes from the journal into b.jsonl.
+	b := filepath.Join(dir, "b.jsonl")
+	c2, err := coord.New(coord.Config{
+		Fleet:      m,
+		Spec:       testSpec(),
+		Shards:     4,
+		Persist:    ps,
+		RunID:      "r1",
+		Resume:     true,
+		Checkpoint: b,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	cp := loadCheckpoint(t, b)
+	merged, err := campaign.Merge(cp.Result())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.Complete(cp.Header.Cells); err != nil {
+		t.Fatalf("resumed checkpoint incomplete: %v", err)
+	}
+	if got, want := summaryOf(t, merged), summaryOf(t, singleProcess(t, testSpec())); got != want {
+		t.Fatalf("merged checkpoint summary differs:\n%s\nvs\n%s", got, want)
 	}
 }

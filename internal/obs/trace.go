@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// TraceHeader is the HTTP header that carries a trace ID across hops:
-// client → jedserve, coordinator → static worker, coordinator → fleet
-// worker (via the lease assignment) and back in the completion report.
+// TraceHeader is the HTTP header that carries a trace ID into jedserve;
+// from a coordinator the ID travels on to each fleet worker in the lease
+// assignment and back in the completion report.
 const TraceHeader = "X-Jed-Trace"
 
 // maxTraceID bounds accepted IDs; anything longer or with characters outside

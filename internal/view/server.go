@@ -21,9 +21,9 @@ const DefaultSessionID = "default"
 // Server exposes a Viewport over HTTP, standing in for the Swing window of
 // the original tool. It is a thin client of the versioned REST API: the
 // viewport's schedule is registered as the session "default" of an
-// internal/api session store, the full API is mounted at /api/v1/, and the
-// legacy read routes are kept as deprecated aliases of the stateless API
-// endpoints. Only the gesture routes still mutate the shared viewport.
+// internal/api session store and the full API is mounted at /api/v1/, where
+// the read routes (stats, tasks, meta) live. Only the gesture routes mutate
+// the shared viewport.
 //
 // The page at / shows the schedule; every interactive gesture maps to an
 // endpoint:
@@ -41,12 +41,6 @@ const DefaultSessionID = "default"
 //	GET /clusters?ids=0,1  cluster selection (empty ids = all)
 //	GET /reread            reload the schedule file
 //	GET /export?format=pdf download the current view (pdf, svg, png)
-//
-// Deprecated aliases, redirecting into the API (same query parameters):
-//
-//	GET /stats   -> /api/v1/sessions/default/stats
-//	GET /tasks   -> /api/v1/sessions/default/tasks
-//	GET /meta    -> /api/v1/sessions/default/meta
 type Server struct {
 	vp   *Viewport
 	gray bool
@@ -82,28 +76,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/recolor", s.recolor)
 	mux.HandleFunc("/reread", s.reread)
 	mux.HandleFunc("/export", s.export)
-	for _, alias := range []string{"stats", "tasks", "meta"} {
-		mux.HandleFunc("/"+alias, s.apiAlias(alias))
-	}
 	mux.Handle("/api/v1/", s.api.Handler())
 	return mux
-}
-
-// apiAlias serves a legacy read path by redirecting to the equivalent
-// stateless endpoint on the default session, preserving the query string.
-// The Deprecation and Link (successor-version) headers announce the move
-// machine-readably; a future release drops the aliases.
-func (s *Server) apiAlias(endpoint string) http.HandlerFunc {
-	successor := "/api/v1/sessions/" + DefaultSessionID + "/" + endpoint
-	return func(w http.ResponseWriter, r *http.Request) {
-		target := successor
-		if r.URL.RawQuery != "" {
-			target += "?" + r.URL.RawQuery
-		}
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		http.Redirect(w, r, target, http.StatusTemporaryRedirect)
-	}
 }
 
 // ListenAndServe runs the viewer on addr.
@@ -144,7 +118,7 @@ const indexPage = `<!DOCTYPE html>
 <a href="/export?format=pdf">pdf</a>
 <a href="/export?format=svg">svg</a>
 <a href="/export?format=png">png</a>
-<a href="/stats">stats</a>
+<a href="/api/v1/sessions/default/stats">stats</a>
 <a href="/api/v1/sessions">api</a>
 | window [%g, %g]
 | clusters: <a href="/clusters?ids=">all</a> %s

@@ -1,10 +1,12 @@
 package view
 
 import (
+	"html"
 	"image/png"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -266,38 +268,36 @@ func TestAPIMounted(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasRedirects checks the deprecated read routes redirect into
-// the API, preserving the query string, and still work when followed.
-func TestLegacyAliasRedirects(t *testing.T) {
-	ts, _ := newTestServer(t)
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
+// TestIndexLinksAnswer follows every link on the index page: each must
+// answer 200, so the page never points at a removed route. The viewer is
+// file-backed so that the reread link works too.
+func TestIndexLinksAnswer(t *testing.T) {
+	path := t.TempDir() + "/s.jed"
+	if err := jedxml.WriteFile(path, demoSchedule()); err != nil {
+		t.Fatal(err)
 	}
-	for path, wantLoc := range map[string]string{
-		"/stats":           "/api/v1/sessions/default/stats",
-		"/stats?cluster=1": "/api/v1/sessions/default/stats?cluster=1",
-		"/tasks":           "/api/v1/sessions/default/tasks",
-		"/meta":            "/api/v1/sessions/default/meta",
-	} {
-		resp, err := noFollow.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTemporaryRedirect {
-			t.Fatalf("%s = %d, want 307", path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Location"); got != wantLoc {
-			t.Fatalf("%s Location = %q, want %q", path, got, wantLoc)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s missing Deprecation header", path)
+	vp, err := Open(path, 400, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(vp).Handler())
+	t.Cleanup(ts.Close)
+	_, body, _ := get(t, ts.URL+"/")
+	links := regexp.MustCompile(`href="([^"]+)"`).FindAllStringSubmatch(body, -1)
+	if len(links) < 10 {
+		t.Fatalf("index has only %d links", len(links))
+	}
+	for _, l := range links {
+		href := html.UnescapeString(l[1])
+		if code, _, _ := get(t, ts.URL+href); code != http.StatusOK {
+			t.Errorf("index link %s = %d, want 200", href, code)
 		}
 	}
-	// Followed, the alias serves the API's JSON.
-	code, body, _ := get(t, ts.URL+"/tasks")
-	if code != 200 || !strings.Contains(body, `"tasks"`) {
-		t.Fatalf("followed alias = %d %s", code, body)
+	// The old read aliases answer 404.
+	for _, path := range []string{"/stats", "/tasks", "/meta"} {
+		if code, _, _ := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Errorf("%s = %d, want 404", path, code)
+		}
 	}
 }
 
