@@ -17,8 +17,8 @@
 //	GET    /api/v1/sessions/{id}/render?format=png|svg|pdf&window=&clusters=...
 //	GET    /api/v1/sessions/{id}/stats|tasks|meta|export
 //	DELETE /api/v1/sessions/{id}
-//	POST   /api/v1/jobs               launch an async campaign job
-//	GET    /api/v1/jobs/{id}          poll; DELETE cancels; /result once done
+//	POST   /api/v1/campaigns          launch an async campaign (/api/v1/jobs is an alias)
+//	GET    /api/v1/campaigns/{id}     poll; DELETE cancels; /result once done
 //
 // -max-sessions caps the store: when new uploads would exceed the cap, the
 // least recently used session is evicted, so a long-lived server survives
@@ -31,14 +31,14 @@
 // accrues that many requests per second up to -rate-burst (default 2× the
 // rate); beyond it the server answers 429 with a Retry-After.
 //
-// -fleet turns this server into a campaign coordinator over an elastic
-// worker fleet: workers join at /api/v1/workers (run `jedserve -join
-// <this-server>` on each machine), hold a heartbeat lease, and pull shards
-// of every POST /api/v1/campaigns from the coordinator's queue, which
-// merges the results — capacity grows and shrinks without editing a flag.
-// Without -fleet, POST /api/v1/campaigns answers 503. -min-workers gates
-// each campaign until enough workers have joined; -heartbeat-interval and
-// -lease-ttl tune the liveness protocol.
+// Every campaign runs as a coordinator that splits it into shards and
+// merges their results. Without -fleet, one in-process worker computes the
+// shards. -fleet replaces it with remote workers: they join at
+// /api/v1/workers (run `jedserve -join <this-server>` on each machine),
+// hold a heartbeat lease, and pull the shards of every campaign from the
+// coordinator's queue — capacity grows and shrinks without editing a flag.
+// -min-workers gates each campaign until enough workers have joined;
+// -heartbeat-interval and -lease-ttl tune the liveness protocol.
 //
 // -join turns this process into a pure fleet worker: no sessions, no HTTP
 // listener — it registers with the coordinator, heartbeats, and computes
@@ -59,11 +59,11 @@
 // its worker.
 //
 // -state-dir makes the server durable: session descriptors, job records,
-// finished results, and the streamed cells of running campaign jobs are
+// finished results, and the completed shards of running campaigns are
 // journaled into that directory, and a restarted server recovers them —
 // sessions re-list (their schedules re-hydrate lazily on first access),
-// terminal job results serve byte-identically, and interrupted campaign
-// jobs resume from their last journaled cell. Empty (the default) keeps
+// terminal job results serve byte-identically, and interrupted campaigns
+// resume from their last journaled shard. Empty (the default) keeps
 // the purely in-memory behavior. See the README's "Durable state" section.
 package main
 
@@ -94,7 +94,7 @@ func main() {
 		lod           = flag.Bool("lod", false, "default level-of-detail rendering (a request's lod= query parameter overrides)")
 		rateLimit     = flag.Float64("rate-limit", 0, "per-client-IP requests per second on /api/v1/ (0 = unlimited)")
 		rateBurst     = flag.Int("rate-burst", 0, "per-client burst above -rate-limit (0 = 2x the rate)")
-		fleetOn       = flag.Bool("fleet", false, "coordinate campaigns over an elastic worker fleet (workers join at /api/v1/workers)")
+		fleetOn       = flag.Bool("fleet", false, "replace the in-process campaign worker with an elastic fleet of remote workers (they join at /api/v1/workers)")
 		minWorkers    = flag.Int("min-workers", 1, "fleet: wait for this many joined workers before a campaign dispatches")
 		heartbeat     = flag.Duration("heartbeat-interval", fleet.DefaultHeartbeatInterval, "fleet: advertised heartbeat interval (a worker silent for 3 intervals is retired)")
 		leaseTTL      = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet: how long one worker may hold a shard before it is requeued for stealing")
@@ -193,20 +193,12 @@ func run(o serveOptions) error {
 		fmt.Printf("jedserve: session %s <- %s\n", sess.ID, sess.Name)
 	}
 	srv := api.NewServer(store)
-	if ps != nil {
-		if err := srv.EnablePersistence(ps); err != nil {
-			return fmt.Errorf("recovering jobs: %w", err)
-		}
-		jr, cr := srv.RecoveredJobs()
-		if n := jr.Restored + jr.Resumed + jr.Interrupted + cr.Restored + cr.Resumed + cr.Interrupted; n > 0 {
-			fmt.Printf("jedserve: recovered %d jobs (%d restored, %d resumed, %d interrupted)\n",
-				n, jr.Restored+cr.Restored, jr.Resumed+cr.Resumed, jr.Interrupted+cr.Interrupted)
-		}
-	}
 	srv.SetRenderWorkers(o.renderWorkers)
 	srv.SetRenderCacheBytes(int64(o.renderCacheMB) << 20)
 	srv.SetLOD(o.lod)
 	srv.SetRateLimit(o.rateLimit, o.rateBurst)
+	// The fleet comes first: campaigns resumed from the state dir dispatch
+	// to whichever fleet the server has when they are recovered.
 	if o.fleet {
 		m := fleet.NewManager(fleet.Config{
 			HeartbeatInterval: o.heartbeat,
@@ -217,6 +209,16 @@ func run(o serveOptions) error {
 		})
 		srv.SetFleet(m, o.minWorkers)
 		fmt.Printf("jedserve: elastic fleet enabled (workers join at /api/v1/workers; campaigns wait for %d)\n", o.minWorkers)
+	}
+	if ps != nil {
+		if err := srv.EnablePersistence(ps); err != nil {
+			return fmt.Errorf("recovering jobs: %w", err)
+		}
+		r := srv.RecoveredJobs()
+		if n := r.Restored + r.Resumed + r.Interrupted; n > 0 {
+			fmt.Printf("jedserve: recovered %d jobs (%d restored, %d resumed, %d interrupted)\n",
+				n, r.Restored, r.Resumed, r.Interrupted)
+		}
 	}
 	if o.pprof {
 		srv.EnablePprof()

@@ -2,13 +2,17 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/fleet"
+	"repro/internal/jobs"
 )
 
 // newCampaignServer is an API server with a fleet of n pull workers
@@ -23,12 +27,12 @@ func newCampaignServer(t *testing.T, n int) (*httptest.Server, *Server) {
 }
 
 // waitCampaign blocks on the engine's wait primitive (not a sleep loop)
-// until the coordinated campaign is terminal, then fetches its final state.
+// until the campaign is terminal, then fetches its final state.
 func waitCampaign(t *testing.T, ts *httptest.Server, srv *Server, id string) map[string]any {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	if _, err := srv.CoordJobs().Wait(ctx, id); err != nil {
+	if _, err := srv.Jobs().Wait(ctx, id); err != nil {
 		t.Fatalf("wait %s: %v", id, err)
 	}
 	code, info := doJSON(t, "GET", ts.URL+"/api/v1/campaigns/"+id, nil, "")
@@ -39,8 +43,8 @@ func waitCampaign(t *testing.T, ts *httptest.Server, srv *Server, id string) map
 }
 
 // TestCoordinatedCampaign runs POST /api/v1/campaigns against two real
-// pull workers and checks the merged result equals a direct (uncoordinated)
-// job on the same spec.
+// pull workers and checks the merged result equals the campaign run in a
+// single process.
 func TestCoordinatedCampaign(t *testing.T) {
 	ts, srv := newCampaignServer(t, 2)
 
@@ -50,7 +54,7 @@ func TestCoordinatedCampaign(t *testing.T) {
 		t.Fatalf("create campaign = %d %v", code, info)
 	}
 	id := info["id"].(string)
-	if info["kind"] != "campaign-coordinated" {
+	if info["kind"] != "campaign" {
 		t.Fatalf("kind = %v", info["kind"])
 	}
 
@@ -70,43 +74,44 @@ func TestCoordinatedCampaign(t *testing.T) {
 		t.Fatalf("job progress = %v", prog)
 	}
 
-	// The coordinated result equals a plain job run of the same spec.
-	jobID := launchJob(t, ts, fmt.Sprintf(smallJobSpec, ""))
-	if st := pollJob(t, ts, jobID); st["state"] != "done" {
-		t.Fatalf("reference job = %v", st)
-	}
 	code, coordRes := doJSON(t, "GET", ts.URL+"/api/v1/campaigns/"+id+"/result", nil, "")
 	if code != 200 {
 		t.Fatalf("campaign result = %d %v", code, coordRes)
 	}
-	code, jobRes := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+jobID+"/result", nil, "")
-	if code != 200 {
-		t.Fatalf("job result = %d", code)
-	}
-	if coordRes["table"].(string) != jobRes["table"].(string) {
-		t.Fatalf("coordinated table differs:\n%s\nvs\n%s", coordRes["table"], jobRes["table"])
+	if got, want := coordRes["table"].(string), singleProcessTable(t, smallJobSpec); got != want {
+		t.Fatalf("coordinated table differs:\n%s\nvs\n%s", got, want)
 	}
 
-	// The campaign listing carries it; the plain job listing does too (same
-	// engine), but under its own kind.
 	code, list := doJSON(t, "GET", ts.URL+"/api/v1/campaigns", nil, "")
 	if code != 200 || len(list["campaigns"].([]any)) != 1 {
 		t.Fatalf("campaigns list = %d %v", code, list)
 	}
 }
 
-func TestCoordinatedCampaignBadInputs(t *testing.T) {
-	// No fleet configured: campaigns are unavailable.
-	bare, _ := newTestServer(t)
-	code, body := doJSON(t, "POST", bare.URL+"/api/v1/campaigns",
-		strings.NewReader(fmt.Sprintf(smallJobSpec, "")), "application/json")
-	if code != 503 {
-		t.Fatalf("no workers = %d, want 503", code)
+// singleProcessTable is the summary table `campaign` prints for the spec
+// template (filled with no extra fields), run in this process.
+func singleProcessTable(t *testing.T, specTmpl string) string {
+	t.Helper()
+	var spec jobs.CampaignSpec
+	if err := json.Unmarshal([]byte(fmt.Sprintf(specTmpl, "")), &spec); err != nil {
+		t.Fatal(err)
 	}
-	if e := body["error"].(map[string]any); e["code"] != "no_workers" || !strings.Contains(e["message"].(string), "-fleet") {
-		t.Fatalf("no-workers error = %v, want code no_workers pointing at -fleet", e)
+	cfg, _, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := campaign.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table strings.Builder
+	if err := res.WriteTable(&table); err != nil {
+		t.Fatal(err)
+	}
+	return table.String()
+}
 
+func TestCoordinatedCampaignBadInputs(t *testing.T) {
 	ts, _ := newCampaignServer(t, 1)
 	for name, check := range map[string]struct {
 		method, url, body string
@@ -124,14 +129,6 @@ func TestCoordinatedCampaignBadInputs(t *testing.T) {
 		if code != check.want {
 			t.Errorf("%s: code = %d, want %d", name, code, check.want)
 		}
-	}
-
-	// A plain job is not addressable as a campaign (and vice versa its
-	// in-flight result answers 409, which the jobs tests cover).
-	jobID := launchJob(t, ts, fmt.Sprintf(smallJobSpec, ""))
-	pollJob(t, ts, jobID)
-	if code, _ := doJSON(t, "GET", ts.URL+"/api/v1/campaigns/"+jobID, nil, ""); code != 404 {
-		t.Fatalf("plain job as campaign = %d, want 404", code)
 	}
 }
 
@@ -155,5 +152,104 @@ func TestCoordinatedCampaignCancel(t *testing.T) {
 	final := waitCampaign(t, ts, srv, id)
 	if final["state"] == "done" {
 		t.Fatalf("cancelled campaign finished done")
+	}
+}
+
+// TestCampaignAliasesShareIDs pins the alias contract: /api/v1/jobs and
+// /api/v1/campaigns are one surface over one engine, so an ID minted on
+// either resolves on both; only the nouns follow the path.
+func TestCampaignAliasesShareIDs(t *testing.T) {
+	ts, _ := newTestServer(t)
+	spec := fmt.Sprintf(smallJobSpec, "")
+	ids := map[string]string{}
+	for _, surface := range []string{"jobs", "campaigns"} {
+		resp, err := http.Post(ts.URL+"/api/v1/"+surface, "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		id := info["id"].(string)
+		if resp.StatusCode != 202 || resp.Header.Get("Location") != "/api/v1/"+surface+"/"+id {
+			t.Fatalf("POST %s = %d, Location %q", surface, resp.StatusCode, resp.Header.Get("Location"))
+		}
+		ids[surface] = id
+	}
+	want := singleProcessTable(t, smallJobSpec)
+	for _, id := range ids {
+		if st := pollJob(t, ts, id); st["state"] != "done" {
+			t.Fatalf("campaign %s = %v", id, st)
+		}
+		for _, surface := range []string{"jobs", "campaigns"} {
+			code, info := doJSON(t, "GET", ts.URL+"/api/v1/"+surface+"/"+id, nil, "")
+			if code != 200 || info["kind"] != "campaign" || info["coordination"] == nil {
+				t.Fatalf("GET %s/%s = %d %v", surface, id, code, info)
+			}
+			code, res := doJSON(t, "GET", ts.URL+"/api/v1/"+surface+"/"+id+"/result", nil, "")
+			if code != 200 || res["table"] != want {
+				t.Fatalf("GET %s/%s/result = %d %v", surface, id, code, res)
+			}
+		}
+	}
+	for _, surface := range []string{"jobs", "campaigns"} {
+		code, list := doJSON(t, "GET", ts.URL+"/api/v1/"+surface+"?kind=campaign", nil, "")
+		if code != 200 || len(list[surface].([]any)) != 2 || list["total"].(float64) != 2 {
+			t.Fatalf("list %s = %d %v", surface, code, list)
+		}
+		noun := strings.TrimSuffix(surface, "s")
+		if status, code, _ := getError(t, ts.URL+"/api/v1/"+surface+"/j99"); status != 404 || code != noun+"_not_found" {
+			t.Fatalf("unknown on %s = %d %q", surface, status, code)
+		}
+	}
+}
+
+// TestCampaignCancelFreesLocalWorker cancels a campaign whose only shard
+// the in-process worker is computing — a shard of hundreds of cells, far
+// longer than the test runs — and checks the worker takes the next
+// campaign's shards at once: the cancellation ends the shard's context
+// with its run.
+func TestCampaignCancelFreesLocalWorker(t *testing.T) {
+	ts, srv := newTestServer(t)
+	sizes := make([]string, 40)
+	for i := range sizes {
+		sizes[i] = fmt.Sprint(20 + i)
+	}
+	heavy := `{"algos": ["cpa", "mcpa"], "dag_sizes": [` + strings.Join(sizes, ",") +
+		`], "replicates": 20, "seed": 3, "shards": 1}`
+	code, info := doJSON(t, "POST", ts.URL+"/api/v1/campaigns", strings.NewReader(heavy), "application/json")
+	if code != 202 {
+		t.Fatalf("create heavy = %d %v", code, info)
+	}
+	id := info["id"].(string)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		_, info = doJSON(t, "GET", ts.URL+"/api/v1/campaigns/"+id, nil, "")
+		shards := info["coordination"].(map[string]any)["shard"].([]any)
+		if shards[0].(map[string]any)["state"] == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("heavy shard never leased: %v", info)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if code, _ := doJSON(t, "DELETE", ts.URL+"/api/v1/campaigns/"+id, nil, ""); code != 200 {
+		t.Fatalf("cancel = %d", code)
+	}
+
+	start := time.Now()
+	next := launchJob(t, ts, fmt.Sprintf(smallJobSpec, ""))
+	if st := pollJob(t, ts, next); st["state"] != "done" {
+		t.Fatalf("next campaign = %v", st)
+	}
+	if took := time.Since(start); took > 30*time.Second {
+		t.Fatalf("next campaign took %v behind the cancelled shard", took)
+	}
+	final := waitCampaign(t, ts, srv, id)
+	if final["state"] != "cancelled" || final["progress"].(map[string]any)["done"].(float64) != 0 {
+		t.Fatalf("cancelled campaign = %v", final)
 	}
 }

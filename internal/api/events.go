@@ -19,7 +19,7 @@ import (
 //
 //	topic=job,shard   only these topics (default: all)
 //	job=j3            only job events about j3
-//	campaign=c1       only campaign/shard events about c1
+//	campaign=j3       only job and shard events about j3
 //
 // Heartbeat comments (`: hb`) flow every few seconds so idle proxies keep
 // the connection open; a subscriber too slow to drain its buffer loses the
@@ -67,7 +67,7 @@ func parseEventFilter(r *http.Request) (events.Filter, error) {
 		}
 		// Shard events are keyed by their campaign job, so one campaign=
 		// filter follows both the job state and its shard fan-out.
-		f.Key[events.TopicCampaign] = id
+		f.Key[events.TopicJob] = id
 		f.Key[events.TopicShard] = id
 	}
 	return f, nil

@@ -283,7 +283,6 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"non-integer offset", "/api/v1/sessions?offset=x", 400, "bad_pagination"},
 		{"unknown state filter", "/api/v1/jobs?state=bogus", 400, "bad_filter"},
 		{"unknown topic", "/api/v1/events?topic=nope", 400, "bad_filter"},
-		{"merge with missing job", "/api/v1/jobs/" + id + "/result?merge=nope", 404, "job_not_found"},
 		{"bad threshold", "/api/v1/jobs/" + id + "/result?threshold=x", 400, "bad_threshold"},
 	}
 	for _, tc := range cases {
@@ -291,23 +290,6 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		if status != tc.status || code != tc.code {
 			t.Errorf("%s: got %d %q, want %d %q", tc.name, status, code, tc.status, tc.code)
 		}
-	}
-}
-
-// TestErrorEnvelopeHeaderMismatch asserts the merge identity guard answers
-// the machine-readable campaign_header_mismatch code.
-func TestErrorEnvelopeHeaderMismatch(t *testing.T) {
-	ts, _ := newTestAPI(t)
-	// Same factorial, different replicate count: the identity headers differ.
-	mismatched := `{"algos": ["cpa", "mcpa"], "shapes": ["serial", "wide"],
-		"dag_sizes": [15], "cluster_sizes": [16, 32], "replicates": 4, "seed": 11}`
-	a := launchJob(t, ts, fmt.Sprintf(smallJobSpec, ""))
-	b := launchJob(t, ts, mismatched)
-	pollJob(t, ts, a)
-	pollJob(t, ts, b)
-	status, code, _ := getError(t, ts.URL+"/api/v1/jobs/"+a+"/result?merge="+b)
-	if status != 409 || code != "campaign_header_mismatch" {
-		t.Fatalf("mismatched merge = %d %q, want 409 campaign_header_mismatch", status, code)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestFleetWorkersEndpoint(t *testing.T) {
 }
 
 // TestFleetCampaign runs POST /api/v1/campaigns through the fleet's pull
-// queue: the merged result equals a direct in-process job of the same spec,
+// queue: the merged result equals a single-process run of the same spec,
 // and the fleet counters on /api/v1/meta saw every shard.
 func TestFleetCampaign(t *testing.T) {
 	m := fleet.NewManager(fleet.Config{HeartbeatInterval: 100 * time.Millisecond})
@@ -110,21 +110,13 @@ func TestFleetCampaign(t *testing.T) {
 		t.Fatalf("shards_done = %v", got)
 	}
 
-	// Identical to the single-process job result.
-	jobID := launchJob(t, ts, fmt.Sprintf(smallJobSpec, ""))
-	if st := pollJob(t, ts, jobID); st["state"] != "done" {
-		t.Fatalf("reference job = %v", st)
-	}
+	// Identical to the single-process result.
 	code, coordRes := doJSON(t, "GET", ts.URL+"/api/v1/campaigns/"+info["id"].(string)+"/result", nil, "")
 	if code != 200 {
 		t.Fatalf("campaign result = %d", code)
 	}
-	code, jobRes := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+jobID+"/result", nil, "")
-	if code != 200 {
-		t.Fatalf("job result = %d", code)
-	}
-	if coordRes["table"].(string) != jobRes["table"].(string) {
-		t.Fatalf("fleet campaign table differs:\n%s\nvs\n%s", coordRes["table"], jobRes["table"])
+	if got, want := coordRes["table"].(string), singleProcessTable(t, smallJobSpec); got != want {
+		t.Fatalf("fleet campaign table differs:\n%s\nvs\n%s", got, want)
 	}
 
 	// The fleet counters saw the campaign.
@@ -135,5 +127,24 @@ func TestFleetCampaign(t *testing.T) {
 	fl := meta["fleet"].(map[string]any)
 	if fl["shards_completed"].(float64) != 4 || fl["leases_granted"].(float64) < 4 {
 		t.Fatalf("fleet counters = %v", fl)
+	}
+}
+
+// TestSetFleetStopsLocalWorker: remote workers replace the in-process one,
+// which leaves its fleet as SetFleet returns.
+func TestSetFleetStopsLocalWorker(t *testing.T) {
+	srv := NewServer(NewStore())
+	t.Cleanup(srv.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.local.WaitWorkers(ctx, 1); err != nil {
+		t.Fatalf("local worker never joined: %v", err)
+	}
+	srv.SetFleet(fleet.NewManager(fleet.Config{}), 1)
+	if st := srv.local.Stats(); st.WorkersActive != 0 || st.WorkersLeft != 1 {
+		t.Fatalf("local fleet after SetFleet = %+v", st)
+	}
+	if srv.campaignFleet() != srv.Fleet() {
+		t.Fatal("campaigns do not dispatch to the mounted fleet")
 	}
 }

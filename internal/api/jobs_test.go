@@ -120,39 +120,28 @@ func TestJobDefaultCampaign(t *testing.T) {
 	}
 }
 
-// TestJobShardMerge launches the two shards of one campaign as separate
-// jobs and fetches the merged result — it must equal the unsharded job's.
+// TestJobShardMerge splits one job into shards through the "shards" knob —
+// the coordinator merges them — and checks every split matches the
+// campaign run in a single process, cell for cell.
 func TestJobShardMerge(t *testing.T) {
 	ts, _ := newTestAPI(t)
-	full := launchJob(t, ts, fmt.Sprintf(smallJobSpec, ""))
-	s1 := launchJob(t, ts, fmt.Sprintf(smallJobSpec, `, "shard": "1/2"`))
-	s2 := launchJob(t, ts, fmt.Sprintf(smallJobSpec, `, "shard": "2/2"`))
-	for _, id := range []string{full, s1, s2} {
+	want := singleProcessTable(t, smallJobSpec)
+	for _, shards := range []int{1, 2, 4} {
+		id := launchJob(t, ts, fmt.Sprintf(smallJobSpec, fmt.Sprintf(`, "shards": %d`, shards)))
 		if st := pollJob(t, ts, id); st["state"] != "done" {
-			t.Fatalf("job %s = %v", id, st)
+			t.Fatalf("%d shards: job %s = %v", shards, id, st)
 		}
-	}
-	code, fullRes := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+full+"/result", nil, "")
-	if code != 200 {
-		t.Fatalf("full result = %d", code)
-	}
-	code, mergedRes := doJSON(t, "GET",
-		ts.URL+"/api/v1/jobs/"+s1+"/result?merge="+s2, nil, "")
-	if code != 200 {
-		t.Fatalf("merged result = %d %v", code, mergedRes)
-	}
-	if fullRes["table"].(string) != mergedRes["table"].(string) {
-		t.Fatalf("merged table differs:\n%s\nvs\n%s", fullRes["table"], mergedRes["table"])
-	}
-	got := mergedRes["merged"].([]any)
-	if len(got) != 2 || got[0] != s1 || got[1] != s2 {
-		t.Fatalf("merged ids = %v", got)
-	}
-
-	// A partial shard result alone is fine too — half the cells.
-	code, half := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+s1+"/result", nil, "")
-	if code != 200 || len(half["cells"].([]any)) != 2 {
-		t.Fatalf("shard result = %d %v", code, half)
+		code, res := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id+"/result", nil, "")
+		if code != 200 {
+			t.Fatalf("%d shards: result = %d %v", shards, code, res)
+		}
+		if got := res["table"].(string); got != want {
+			t.Fatalf("%d shards: merged table differs:\n%s\nvs\n%s", shards, got, want)
+		}
+		code, info := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id, nil, "")
+		if code != 200 || info["coordination"].(map[string]any)["shards_done"].(float64) != float64(shards) {
+			t.Fatalf("%d shards: state = %d %v", shards, code, info)
+		}
 	}
 }
 
@@ -197,30 +186,23 @@ func TestJobBadInputs(t *testing.T) {
 		return nil, context.Canceled
 	})
 	running := runningJob.ID()
-	// A completed campaign of a different seed: not mergeable with `done`.
-	otherSeed := launchJob(t, ts, strings.Replace(fmt.Sprintf(smallJobSpec, ""), `"seed": 11`, `"seed": 12`, 1))
-	pollJob(t, ts, otherSeed)
 
 	for name, check := range map[string]struct {
 		method, url, body string
 		want              int
 	}{
-		"bad json":             {"POST", "/api/v1/jobs", "{", 400},
-		"unknown field":        {"POST", "/api/v1/jobs", `{"bogus": 1}`, 400},
-		"unknown algo":         {"POST", "/api/v1/jobs", `{"algos": ["cpa", "nope"]}`, 400},
-		"one algo":             {"POST", "/api/v1/jobs", `{"algos": ["cpa"]}`, 400},
-		"bad shape":            {"POST", "/api/v1/jobs", `{"shapes": ["blob"]}`, 400},
-		"bad shard":            {"POST", "/api/v1/jobs", `{"shard": "9/2"}`, 400},
-		"unknown job":          {"GET", "/api/v1/jobs/j99", "", 404},
-		"bad wait":             {"GET", "/api/v1/jobs/" + done + "?wait=x", "", 400},
-		"unknown cancel":       {"DELETE", "/api/v1/jobs/j99", "", 404},
-		"unknown result":       {"GET", "/api/v1/jobs/j99/result", "", 404},
-		"result too soon":      {"GET", "/api/v1/jobs/" + running + "/result", "", 409},
-		"bad threshold":        {"GET", "/api/v1/jobs/" + done + "/result?threshold=x", "", 400},
-		"merge unknown":        {"GET", "/api/v1/jobs/" + done + "/result?merge=j99", "", 404},
-		"merge not done":       {"GET", "/api/v1/jobs/" + done + "/result?merge=" + running, "", 409},
-		"merge self":           {"GET", "/api/v1/jobs/" + done + "/result?merge=" + done, "", 409},
-		"merge other campaign": {"GET", "/api/v1/jobs/" + done + "/result?merge=" + otherSeed, "", 409},
+		"bad json":        {"POST", "/api/v1/jobs", "{", 400},
+		"unknown field":   {"POST", "/api/v1/jobs", `{"bogus": 1}`, 400},
+		"unknown algo":    {"POST", "/api/v1/jobs", `{"algos": ["cpa", "nope"]}`, 400},
+		"one algo":        {"POST", "/api/v1/jobs", `{"algos": ["cpa"]}`, 400},
+		"bad shape":       {"POST", "/api/v1/jobs", `{"shapes": ["blob"]}`, 400},
+		"bad shard":       {"POST", "/api/v1/jobs", `{"shard": "9/2"}`, 400},
+		"unknown job":     {"GET", "/api/v1/jobs/j99", "", 404},
+		"bad wait":        {"GET", "/api/v1/jobs/" + done + "?wait=x", "", 400},
+		"unknown cancel":  {"DELETE", "/api/v1/jobs/j99", "", 404},
+		"unknown result":  {"GET", "/api/v1/jobs/j99/result", "", 404},
+		"result too soon": {"GET", "/api/v1/jobs/" + running + "/result", "", 409},
+		"bad threshold":   {"GET", "/api/v1/jobs/" + done + "/result?threshold=x", "", 400},
 	} {
 		var body *strings.Reader
 		if check.body != "" {

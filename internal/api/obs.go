@@ -119,14 +119,12 @@ func (s *Server) registerMetrics() {
 	m.GaugeFunc("jed_events_subscribers", "Live bus subscribers.",
 		func() float64 { return float64(s.bus.Stats().Subscribers) })
 
-	// Job engines.
+	// Job engine.
 	m.CounterFunc("jed_jobs_evicted_total",
-		"Terminal jobs dropped by the retention cap, both engines.",
-		func() float64 { return float64(s.jobs.Evictions() + s.coordJobs.Evictions()) })
-	m.GaugeFunc("jed_jobs_queue_depth", "Jobs waiting for an engine worker.",
-		func() float64 { return float64(s.jobs.QueueDepth()) }, "engine", "jobs")
-	m.GaugeFunc("jed_jobs_queue_depth", "Jobs waiting for an engine worker.",
-		func() float64 { return float64(s.coordJobs.QueueDepth()) }, "engine", "coord")
+		"Terminal jobs dropped by the retention cap.",
+		func() float64 { return float64(s.jobs.Evictions()) })
+	m.GaugeFunc("jed_jobs_queue_depth", "Jobs waiting for an engine slot.",
+		func() float64 { return float64(s.jobs.QueueDepth()) })
 }
 
 // registerFleetMetrics exposes a fleet manager's counters on r. The
@@ -149,11 +147,11 @@ func (s *Server) registerPersistMetrics() {
 		"Session persistence write errors.",
 		func() float64 { return float64(s.store.PersistErrors()) })
 	m.CounterFunc("jed_persist_job_errors_total",
-		"Job journal write errors, both engines.",
-		func() float64 { return float64(s.jobsPersist.Errors() + s.coordPersist.Errors()) })
+		"Job journal write errors.",
+		func() float64 { return float64(s.jobsPersist.Errors()) })
 	m.CounterFunc("jed_persist_jobs_resumed_total",
-		"Interrupted jobs re-submitted at startup, both engines.",
-		func() float64 { return float64(s.jobsRecovered.Resumed + s.coordRecovered.Resumed) })
+		"Interrupted jobs re-submitted at startup.",
+		func() float64 { return float64(s.recovered.Resumed) })
 }
 
 // metricsHandler serves GET /api/v1/metrics in the Prometheus text format.

@@ -79,6 +79,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"jed_sessions 1",
 		"jed_http_in_flight 1", // the scrape itself
 		"# TYPE jed_http_request_seconds histogram",
+		"\njed_jobs_queue_depth 0\n", // one engine: one unlabelled series
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)

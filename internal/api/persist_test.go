@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,9 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/campaign"
+	"repro/internal/events"
 	"repro/internal/jedxml"
+	"repro/internal/jobs"
 	"repro/internal/persist"
 )
 
@@ -22,6 +28,42 @@ type persistHarness struct {
 	srv   *Server
 	store *Store
 	ps    persist.Store
+	cs    *crashStore // what the server writes through
+}
+
+// crashStore drops every write once crashed — a kill -9 as the state
+// directory sees it: nothing the dying process does afterwards lands.
+type crashStore struct {
+	persist.Store
+	crashed atomic.Bool
+}
+
+func (s *crashStore) Put(ns, key string, v []byte) error {
+	if s.crashed.Load() {
+		return nil
+	}
+	return s.Store.Put(ns, key, v)
+}
+
+func (s *crashStore) PutDurable(ns, key string, v []byte) error {
+	if s.crashed.Load() {
+		return nil
+	}
+	return s.Store.PutDurable(ns, key, v)
+}
+
+func (s *crashStore) Delete(ns, key string) error {
+	if s.crashed.Load() {
+		return nil
+	}
+	return s.Store.Delete(ns, key)
+}
+
+func (s *crashStore) DeletePrefix(ns, prefix string) error {
+	if s.crashed.Load() {
+		return nil
+	}
+	return s.Store.DeletePrefix(ns, prefix)
 }
 
 // startPersistServer boots a server against dir, in the same order jedserve
@@ -32,8 +74,9 @@ func startPersistServer(t *testing.T, dir, fileDir string) *persistHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := &crashStore{Store: ps}
 	store := NewStore()
-	store.SetPersist(ps)
+	store.SetPersist(cs)
 	if fileDir != "" {
 		if _, err := RegisterDir(store, fileDir); err != nil {
 			t.Fatal(err)
@@ -43,10 +86,18 @@ func startPersistServer(t *testing.T, dir, fileDir string) *persistHarness {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	if err := srv.EnablePersistence(ps); err != nil {
+	if err := srv.EnablePersistence(cs); err != nil {
 		t.Fatal(err)
 	}
-	return &persistHarness{ts: httptest.NewServer(srv.Handler()), srv: srv, store: store, ps: ps}
+	return &persistHarness{ts: httptest.NewServer(srv.Handler()), srv: srv, store: store, ps: ps, cs: cs}
+}
+
+// crash stops the server the way kill -9 would: no write after this call
+// reaches the state directory.
+func (h *persistHarness) crash(t *testing.T) {
+	t.Helper()
+	h.cs.crashed.Store(true)
+	h.stop(t)
 }
 
 func (h *persistHarness) stop(t *testing.T) {
@@ -254,7 +305,220 @@ func TestPersistJobResultSurvivesRestart(t *testing.T) {
 	if got := persistMeta["jobs"].(map[string]any)["restored"].(float64); got != 1 {
 		t.Fatalf("restored jobs = %v", got)
 	}
+	if _, ok := persistMeta["campaigns"]; ok {
+		t.Fatalf("persist meta still reports a second engine: %v", persistMeta)
+	}
 	if _, ok := meta["jobs_evicted"]; !ok {
 		t.Fatalf("meta has no jobs_evicted counter: %v", meta)
+	}
+}
+
+// resultBytes fetches a campaign result with its "merged" job-ID list
+// dropped — the bytes two runs of one spec must share.
+func resultBytes(t *testing.T, url string) []byte {
+	t.Helper()
+	code, _, body := rawGet(t, url)
+	if code != 200 {
+		t.Fatalf("GET %s = %d %s", url, code, body)
+	}
+	var res map[string]json.RawMessage
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	delete(res, "merged")
+	out, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// waitShardDone blocks until the bus carries the first completed shard.
+func waitShardDone(t *testing.T, sub *events.Subscriber) {
+	t.Helper()
+	timeout := time.After(60 * time.Second)
+	for {
+		select {
+		case <-sub.Notify():
+		case <-timeout:
+			t.Fatal("no shard completed")
+		}
+		evs, _ := sub.Drain()
+		for _, e := range evs {
+			if e.Type == "done" {
+				return
+			}
+		}
+	}
+}
+
+// TestPersistCampaignResumesAfterCrash kills a server mid-campaign — after
+// its first shard, with the rest still queued — on either surface, and
+// checks the restarted server resumes the campaign from the coordinator's
+// run journal to the bytes of a fresh run.
+func TestPersistCampaignResumesAfterCrash(t *testing.T) {
+	spec := `{"algos": ["cpa", "mcpa"], "shapes": ["random", "forkjoin", "wide", "long"],
+		"dag_sizes": [40, 80], "cluster_sizes": [32, 64, 128], "replicates": 3, "seed": 5, "shards": 8}`
+	for _, surface := range []string{"jobs", "campaigns"} {
+		t.Run(surface, func(t *testing.T) {
+			stateDir := t.TempDir()
+			h1 := startPersistServer(t, stateDir, "")
+			sub := h1.srv.Bus().Subscribe(events.Filter{Topics: []events.Topic{events.TopicShard}}, 0)
+			code, info := doJSON(t, "POST", h1.ts.URL+"/api/v1/"+surface, strings.NewReader(spec), "application/json")
+			if code != 202 {
+				t.Fatalf("create = %d %v", code, info)
+			}
+			id := info["id"].(string)
+			waitShardDone(t, sub)
+			sub.Close()
+			h1.crash(t)
+
+			// The state dir holds a running record and part of the run.
+			ps, err := persist.Open(stateDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, err := ps.Load("runs")
+			if err != nil {
+				t.Fatal(err)
+			}
+			journaled := 0
+			for k := range runs {
+				if strings.HasPrefix(k, id+"/c/") {
+					journaled++
+				}
+			}
+			if err := ps.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if journaled == 0 || journaled >= 24 {
+				t.Fatalf("run journal holds %d of 24 cells at the crash", journaled)
+			}
+
+			h2 := startPersistServer(t, stateDir, "")
+			defer h2.stop(t)
+			if r := h2.srv.RecoveredJobs(); r.Resumed != 1 || r.Interrupted != 0 {
+				t.Fatalf("recovered = %+v", r)
+			}
+			final := waitCampaign(t, h2.ts, h2.srv, id)
+			prog := final["progress"].(map[string]any)
+			if final["state"] != "done" || prog["done"] != prog["total"] {
+				t.Fatalf("resumed campaign = %v", final)
+			}
+			// Shards the journal covered are done without a worker.
+			fromJournal := 0
+			for _, sh := range final["coordination"].(map[string]any)["shard"].([]any) {
+				if sh := sh.(map[string]any); sh["state"] == "done" && sh["worker"] == nil {
+					fromJournal++
+				}
+			}
+			if fromJournal == 0 {
+				t.Fatalf("no shard resumed from the run journal: %v", final["coordination"])
+			}
+			resumed := resultBytes(t, h2.ts.URL+"/api/v1/"+surface+"/"+id+"/result")
+
+			code, info = doJSON(t, "POST", h2.ts.URL+"/api/v1/"+surface, strings.NewReader(spec), "application/json")
+			if code != 202 {
+				t.Fatalf("create fresh = %d %v", code, info)
+			}
+			fresh := info["id"].(string)
+			if st := waitCampaign(t, h2.ts, h2.srv, fresh); st["state"] != "done" {
+				t.Fatalf("fresh campaign = %v", st)
+			}
+			if want := resultBytes(t, h2.ts.URL+"/api/v1/"+surface+"/"+fresh+"/result"); !bytes.Equal(resumed, want) {
+				t.Fatalf("resumed result differs from a fresh run:\n%s\nvs\n%s", resumed, want)
+			}
+		})
+	}
+}
+
+// TestPersistLegacyStateDir starts a server on a state directory in the
+// layout of an older server — a second engine's records under "cjobs" and
+// a per-cell journal under "jobs-cells" — seeded by hand: the "cN" records
+// join the one engine under their own IDs, the cell journal goes, and the
+// interrupted old-layout job resumes from scratch to the fresh-run result.
+func TestPersistLegacyStateDir(t *testing.T) {
+	var spec jobs.CampaignSpec
+	if err := json.Unmarshal([]byte(fmt.Sprintf(smallJobSpec, "")), &spec); err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UTC()
+	record := func(fields map[string]any) []byte {
+		b, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	stateDir := t.TempDir()
+	ps, err := persist.Open(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, put := range []struct {
+		ns, key string
+		val     []byte
+	}{
+		{"cjobs", "c1", record(map[string]any{"id": "c1", "kind": "campaign-coordinated", "state": "done",
+			"done": 4, "total": 4, "created": now, "finished": now,
+			"outcome": jobs.CampaignOutcome{Header: campaign.NewHeader(cfg), Result: res}})},
+		{"cjobs", "c2", record(map[string]any{"id": "c2", "kind": "campaign-coordinated", "state": "running",
+			"total": 4, "created": now})},
+		{"jobs", "j1", record(map[string]any{"id": "j1", "kind": "campaign", "state": "running",
+			"done": 1, "total": 4, "created": now, "spec": spec})},
+		{"jobs-cells", "j1/00000000", record(map[string]any{"index": 0})},
+		{"jobs-cells", "j9/00000003", record(map[string]any{"index": 3})},
+	} {
+		if err := ps.PutDurable(put.ns, put.key, put.val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := startPersistServer(t, stateDir, "")
+	if r := h.srv.RecoveredJobs(); r.Restored != 1 || r.Resumed != 1 || r.Interrupted != 1 {
+		t.Fatalf("recovered = %+v", r)
+	}
+	for ns, want := range map[string]int{"cjobs": 0, "jobs-cells": 0, "jobs": 3} {
+		if got, err := h.ps.Load(ns); err != nil || len(got) != want {
+			t.Fatalf("namespace %s holds %d records (err %v), want %d", ns, len(got), err, want)
+		}
+	}
+	table := singleProcessTable(t, smallJobSpec)
+	for _, id := range []string{"c1", "j1"} {
+		if st := waitCampaign(t, h.ts, h.srv, id); st["state"] != "done" || st["kind"] != "campaign" {
+			t.Fatalf("%s = %v", id, st)
+		}
+		if code, got := doJSON(t, "GET", h.ts.URL+"/api/v1/campaigns/"+id+"/result", nil, ""); code != 200 || got["table"] != table {
+			t.Fatalf("%s result = %d %v", id, code, got)
+		}
+	}
+	if code, st := doJSON(t, "GET", h.ts.URL+"/api/v1/jobs/c2", nil, ""); code != 200 || st["state"] != "failed" {
+		t.Fatalf("c2 = %d %v", code, st)
+	}
+	if next := launchJob(t, h.ts, fmt.Sprintf(smallJobSpec, "")); next != "j2" {
+		t.Fatalf("next ID = %s, want j2", next)
+	}
+	h.stop(t)
+
+	// The adopted records live in "jobs" now: the next start restores them
+	// without any legacy namespace left to read.
+	h2 := startPersistServer(t, stateDir, "")
+	defer h2.stop(t)
+	if r := h2.srv.RecoveredJobs(); r.Restored != 4 || r.Resumed != 0 {
+		t.Fatalf("second recovery = %+v", r)
+	}
+	if code, got := doJSON(t, "GET", h2.ts.URL+"/api/v1/jobs/c1/result", nil, ""); code != 200 || got["table"] != table {
+		t.Fatalf("c1 result after second restart = %d %v", code, got)
 	}
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"html"
@@ -32,17 +33,18 @@ const maxUploadBytes = 64 << 20
 const defaultRenderCacheBytes = 64 << 20
 
 // Server serves the versioned REST API over a session store, plus the
-// asynchronous job surface for long-running campaigns.
+// asynchronous campaign surface.
 type Server struct {
 	store         *Store
-	jobs          *jobs.Engine
-	coordJobs     *jobs.Engine // coordinated campaigns, isolated from the CPU-bound job slots
+	jobs          *jobs.Engine // every campaign, whichever alias submitted it
 	cache         *renderCache
 	renderWorkers int  // render.Options.Workers for every rasterization; 0 = GOMAXPROCS
 	lodDefault    bool // render.Options.LOD when the request has no lod= param
 	limiter       *rateLimiter
-	fleet         *fleet.Manager // worker fleet for POST /api/v1/campaigns; serves /api/v1/workers
+	fleet         *fleet.Manager // remote worker fleet (SetFleet); serves /api/v1/workers
 	fleetMin      int            // fleet campaigns wait for this many workers
+	local         *fleet.Manager // the in-process worker's fleet, used until SetFleet
+	stopLocal     func()         // stops the in-process worker; idempotent
 	campaigns     campaignTracker
 	bus           *events.Bus   // the broadcast bus behind GET /api/v1/events
 	heartbeat     time.Duration // SSE heartbeat-comment interval
@@ -57,32 +59,34 @@ type Server struct {
 	pprof       bool
 
 	// Durable state (nil/zero without EnablePersistence).
-	persist        persist.Store
-	jobsPersist    *jobs.Persister
-	coordPersist   *jobs.Persister
-	jobsRecovered  jobs.RecoverStats
-	coordRecovered jobs.RecoverStats
+	persist     persist.Store
+	jobsPersist *jobs.Persister
+	recovered   jobs.RecoverStats
 }
 
-// NewServer wraps a store and starts the job engines. Two campaign job
-// slots, not one per core: each campaign job already parallelizes across
-// GOMAXPROCS internally, so a wider pool would oversubscribe the CPU
-// quadratically. Coordinated campaigns run on their own engine (IDs
-// "c1", "c2", ...): a coordinator job is idle network waiting, and sharing
-// the CPU-bound slots would let two coordinators starve the very shard
-// jobs they dispatch — a deadlock when a server appears in its own worker
-// pool. Terminal jobs are retained up to a cap so past results stay
-// fetchable without growing without bound. The render cache subscribes to
-// the store's drop notifications so replaced, deleted, evicted, and
-// expired sessions lose their memoized bodies immediately.
+// NewServer wraps a store, starts the job engine, and starts the in-process
+// worker its campaigns dispatch to until SetFleet mounts remote ones. A
+// campaign job is a coordinator waiting on its fleet while the workers do
+// the computing, so the engine's four slots bound concurrent campaigns, not
+// CPU; one local worker suffices because each shard already spreads its
+// cells over GOMAXPROCS. Terminal jobs are retained up to a cap so past
+// results stay fetchable without growing without bound. The render cache
+// subscribes to the store's drop notifications so replaced, deleted,
+// evicted, and expired sessions lose their memoized bodies immediately.
 func NewServer(store *Store) *Server {
-	engine := jobs.NewEngine(2)
+	engine := jobs.NewEngine(4)
 	engine.SetRetention(256)
-	coordEngine := jobs.NewEngine(4)
-	coordEngine.SetIDPrefix("c")
-	coordEngine.SetRetention(64)
+	local := fleet.NewManager(fleet.Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		local.RunLocal(ctx, "local", nil)
+	}()
 	s := &Server{
-		store: store, jobs: engine, coordJobs: coordEngine,
+		store: store, jobs: engine,
+		local:     local,
+		stopLocal: func() { cancel(); <-stopped },
 		cache:     newRenderCache(defaultRenderCacheBytes),
 		bus:       events.NewBus(0),
 		heartbeat: defaultEventHeartbeat,
@@ -91,29 +95,24 @@ func NewServer(store *Store) *Server {
 	s.registerMetrics()
 	store.OnDrop(s.cache.InvalidateSession)
 	// Producer wiring: every job transition, session change, and (via
-	// createCampaign/SetFleet) shard and fleet event lands on the bus.
-	engine.SetObserver(s.jobObserver(events.TopicJob))
-	coordEngine.SetObserver(s.jobObserver(events.TopicCampaign))
+	// newCampaign/SetFleet) shard and fleet event lands on the bus.
+	engine.SetObserver(func(j *jobs.Job, change string) {
+		s.bus.Publish(events.TopicJob, change, j.ID(), infoOfJob(j))
+	})
 	store.OnEvent(func(kind, id string) {
 		s.bus.Publish(events.TopicSession, kind, id, nil)
 	})
 	return s
 }
 
-// jobObserver bridges an engine's lifecycle notifications onto the bus.
-func (s *Server) jobObserver(topic events.Topic) jobs.Observer {
-	return func(j *jobs.Job, change string) {
-		s.bus.Publish(topic, change, j.ID(), infoOfJob(j))
-	}
-}
-
 // Bus returns the event bus (exposed for tests and embedding servers).
 func (s *Server) Bus() *events.Bus { return s.bus }
 
-// Close stops both job engines, cancelling everything still running.
+// Close stops the job engine, cancelling everything still running, and
+// the in-process worker.
 func (s *Server) Close() {
-	s.coordJobs.Close()
 	s.jobs.Close()
+	s.stopLocal()
 }
 
 // Store returns the underlying session store.
@@ -141,12 +140,14 @@ func (s *Server) SetRateLimit(rate float64, burst int) {
 	s.limiter = newRateLimiter(rate, burst)
 }
 
-// SetFleet mounts the elastic worker fleet: the manager's worker protocol is
-// served under /api/v1/workers and coordinated campaigns dispatch through
-// its pull queue (without a fleet, POST /api/v1/campaigns answers 503
-// no_workers). minWorkers is how many joined workers a campaign waits for
-// before queueing shards (0 means 1). Call before serving.
+// SetFleet replaces the in-process worker with an elastic fleet of remote
+// ones: the manager's worker protocol is served under /api/v1/workers and
+// every campaign dispatches through its pull queue. minWorkers is how many
+// joined workers a campaign waits for before queueing shards (0 means 1).
+// Call before EnablePersistence, whose resumed campaigns dispatch to the
+// fleet set at that point, and before serving.
 func (s *Server) SetFleet(m *fleet.Manager, minWorkers int) {
+	s.stopLocal()
 	s.fleet = m
 	s.fleetMin = minWorkers
 	registerFleetMetrics(s.metrics, m)
@@ -158,34 +159,48 @@ func (s *Server) SetFleet(m *fleet.Manager, minWorkers int) {
 // Fleet returns the mounted fleet manager (nil without SetFleet).
 func (s *Server) Fleet() *fleet.Manager { return s.fleet }
 
-// EnablePersistence journals both job engines into the store and replays the
+// campaignFleet is where campaigns dispatch: the remote fleet once
+// SetFleet mounted one, the in-process worker's otherwise.
+func (s *Server) campaignFleet() *fleet.Manager {
+	if s.fleet != nil {
+		return s.fleet
+	}
+	return s.local
+}
+
+// EnablePersistence journals the job engine into the store and replays the
 // records of the previous process: terminal jobs come back with their
-// results intact, interrupted campaign jobs are re-submitted from their
-// journaled cells, and coordinated campaigns journal run progress under
-// their job ID so their checkpoints are shareable through the store. Call
-// once, before serving and before any job is submitted.
+// results intact, and interrupted campaigns are re-submitted under their
+// own IDs, resuming from the run journal their coordinator keeps under that
+// ID — the store's only cell journal. Call once, after SetFleet, before
+// serving and before any job is submitted.
+//
+// A state directory written by an older server also holds a second
+// engine's records ("cjobs", IDs "c1", "c2", ...) and a per-cell journal
+// of running jobs ("jobs-cells"). The former are folded into "jobs" under
+// their own IDs; the latter is dropped, so a job interrupted under the old
+// layout resumes with its cells recomputed — to the same result, since
+// cells depend only on (config, index).
 func (s *Server) EnablePersistence(ps persist.Store) error {
 	s.persist = ps
 	s.jobsPersist = jobs.NewPersister(ps, "jobs")
-	s.coordPersist = jobs.NewPersister(ps, "cjobs")
 	s.jobs.SetJournal(s.jobsPersist)
-	s.coordJobs.SetJournal(s.coordPersist)
-	var err error
-	if s.jobsRecovered, err = s.jobsPersist.Recover(s.jobs); err != nil {
+	if err := s.jobsPersist.Adopt("cjobs"); err != nil {
 		return err
 	}
-	if s.coordRecovered, err = s.coordPersist.Recover(s.coordJobs); err != nil {
+	if err := ps.DeletePrefix("jobs-cells", ""); err != nil {
+		return err
+	}
+	var err error
+	if s.recovered, err = s.jobsPersist.Recover(s.jobs, s.resumeCampaign); err != nil {
 		return err
 	}
 	s.registerPersistMetrics()
 	return nil
 }
 
-// RecoveredJobs reports what EnablePersistence replayed: campaign jobs,
-// then coordinated campaigns.
-func (s *Server) RecoveredJobs() (jobs.RecoverStats, jobs.RecoverStats) {
-	return s.jobsRecovered, s.coordRecovered
-}
+// RecoveredJobs reports what EnablePersistence replayed.
+func (s *Server) RecoveredJobs() jobs.RecoverStats { return s.recovered }
 
 // RenderCacheStats exposes the cache counters (for tests; clients read them
 // from GET /api/v1/meta).
@@ -194,9 +209,6 @@ func (s *Server) RenderCacheStats() renderCacheStats { return s.cache.Stats() }
 // Jobs returns the campaign job engine (exposed for tests and graceful
 // shutdown).
 func (s *Server) Jobs() *jobs.Engine { return s.jobs }
-
-// CoordJobs returns the coordinated-campaign engine.
-func (s *Server) CoordJobs() *jobs.Engine { return s.coordJobs }
 
 // Handler returns the API routes. The legacy viewer mounts this under
 // /api/v1/ next to its own pages; jedserve serves it directly, in which
@@ -217,16 +229,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/sessions/{id}/stats", s.stats)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/tasks", s.tasks)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/meta", s.meta)
-	mux.HandleFunc("POST /api/v1/jobs", s.createJob)
-	mux.HandleFunc("GET /api/v1/jobs", s.listJobs)
-	mux.HandleFunc("GET /api/v1/jobs/{id}", s.getJob)
-	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.cancelJob)
-	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.jobResult)
-	mux.HandleFunc("POST /api/v1/campaigns", s.createCampaign)
-	mux.HandleFunc("GET /api/v1/campaigns", s.listCampaigns)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}", s.getCampaign)
-	mux.HandleFunc("DELETE /api/v1/campaigns/{id}", s.cancelCampaign)
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/result", s.campaignResult)
+	for _, base := range []string{"/api/v1/campaigns", "/api/v1/jobs"} {
+		mux.HandleFunc("POST "+base, s.createCampaign)
+		mux.HandleFunc("GET "+base, s.listCampaigns)
+		mux.HandleFunc("GET "+base+"/{id}", s.getCampaign)
+		mux.HandleFunc("DELETE "+base+"/{id}", s.cancelCampaign)
+		mux.HandleFunc("GET "+base+"/{id}/result", s.campaignResult)
+	}
 	if s.fleet != nil {
 		// The worker protocol: join, heartbeat, lease, complete, drain,
 		// leave. The fleet handler matches full /api/v1/workers paths, so it
@@ -612,7 +621,7 @@ func (s *Server) metaSnapshot() map[string]any {
 		"lod_default":          s.lodDefault,
 		"lod_renders":          s.mLodRenders.Value(),
 		"lod_tasks_aggregated": s.mLodTasks.Value(),
-		"jobs_evicted":         s.jobs.Evictions() + s.coordJobs.Evictions(),
+		"jobs_evicted":         s.jobs.Evictions(),
 		"events":               busStats,
 		"long_polls":           s.mLongPolls.Value(),
 		"metrics":              s.metrics.Snapshot(),
@@ -626,9 +635,8 @@ func (s *Server) metaSnapshot() map[string]any {
 			"recovered_sessions": s.store.RecoveredSessions(),
 			"hydration_failures": s.store.HydrationFailures(),
 			"session_errors":     s.store.PersistErrors(),
-			"job_errors":         s.jobsPersist.Errors() + s.coordPersist.Errors(),
-			"jobs":               s.jobsRecovered,
-			"campaigns":          s.coordRecovered,
+			"job_errors":         s.jobsPersist.Errors(),
+			"jobs":               s.recovered,
 		}
 	}
 	return meta

@@ -73,7 +73,7 @@ type Config struct {
 	// With Resume, the persisted cells preload exactly like a file resume.
 	Persist persist.Store
 	// RunID names this run in the persistence store. Required with Persist;
-	// the REST surface uses the coordinated job's ID.
+	// the REST surface uses the campaign job's ID.
 	RunID string
 	// OnCell, when set, observes every newly recorded cell (serialized on
 	// the coordinator goroutine) — the aggregate-progress hook.
@@ -200,26 +200,19 @@ func New(cfg Config) (*Coordinator, error) {
 // against.
 func (c *Coordinator) Header() campaign.Header { return c.header }
 
-// SetOnCell installs (or replaces) the per-cell observer. It must be called
-// before Run — the REST surface uses it to wire job progress to a
-// coordinator whose job handle does not exist until after submission.
-func (c *Coordinator) SetOnCell(fn func(campaign.Cell)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.OnCell = fn
-}
-
-// SetOnShard installs (or replaces) the per-shard transition observer. Like
-// SetOnCell it must be called before Run.
+// SetOnShard installs (or replaces) the per-shard transition observer. It
+// must be called before Run — the REST surface uses it to wire job progress
+// and shard events to a coordinator whose job handle does not exist until
+// after submission.
 func (c *Coordinator) SetOnShard(fn func(ShardProgress)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg.OnShard = fn
 }
 
-// SetPersist installs (or replaces) the run journal. Like SetOnCell it must
-// be called before Run — the REST surface names the run after the
-// coordinated job, whose ID does not exist until after submission.
+// SetPersist installs (or replaces) the run journal. Like SetOnShard it
+// must be called before Run — the REST surface names the run after the
+// campaign job, whose ID does not exist until after submission.
 func (c *Coordinator) SetPersist(ps persist.Store, runID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -184,26 +184,25 @@ func TestFleetWorkerJoinsMidRun(t *testing.T) {
 	})
 	startFleetWorker(t, url, "founder", nil)
 
+	// Join the latecomer as soon as the first shard lands.
+	joined := make(chan struct{})
 	c, err := coord.New(coord.Config{
 		Fleet:      m,
 		MinWorkers: 1,
 		Spec:       wideSpec(),
 		Shards:     8,
+		OnCell: func(campaign.Cell) {
+			select {
+			case <-joined:
+			default:
+				close(joined)
+				startFleetWorker(t, url, "latecomer", nil)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Join the latecomer as soon as the first shard lands.
-	joined := make(chan struct{})
-	c.SetOnCell(func(campaign.Cell) {
-		select {
-		case <-joined:
-		default:
-			close(joined)
-			startFleetWorker(t, url, "latecomer", nil)
-		}
-	})
 	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

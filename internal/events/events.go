@@ -24,23 +24,22 @@ import (
 type Topic string
 
 const (
-	TopicJob      Topic = "job"      // jobs-engine lifecycle + progress
-	TopicCampaign Topic = "campaign" // coordinated-campaign jobs
-	TopicShard    Topic = "shard"    // coordinator shard dispatch/complete/reassign
-	TopicFleet    Topic = "fleet"    // worker join/retire/lease/steal
-	TopicSession  Topic = "session"  // session create/replace/evict
-	TopicMetrics  Topic = "metrics"  // periodic metrics-registry snapshots
+	TopicJob     Topic = "job"     // campaign job lifecycle + progress
+	TopicShard   Topic = "shard"   // coordinator shard dispatch/complete/reassign
+	TopicFleet   Topic = "fleet"   // worker join/retire/lease/steal
+	TopicSession Topic = "session" // session create/replace/evict
+	TopicMetrics Topic = "metrics" // periodic metrics-registry snapshots
 )
 
 // Topics lists every topic the bus carries, in documentation order.
 func Topics() []Topic {
-	return []Topic{TopicJob, TopicCampaign, TopicShard, TopicFleet, TopicSession, TopicMetrics}
+	return []Topic{TopicJob, TopicShard, TopicFleet, TopicSession, TopicMetrics}
 }
 
 // ValidTopic reports whether t names a known topic.
 func ValidTopic(t Topic) bool {
 	switch t {
-	case TopicJob, TopicCampaign, TopicShard, TopicFleet, TopicSession, TopicMetrics:
+	case TopicJob, TopicShard, TopicFleet, TopicSession, TopicMetrics:
 		return true
 	}
 	return false

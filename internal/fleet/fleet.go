@@ -119,7 +119,7 @@ type Manager struct {
 	runSeq    int
 	workers   map[string]*workerState
 	runs      []*Run
-	joinWake  chan struct{} // closed and replaced on every join, for WaitWorkers
+	wake      chan struct{} // closed and replaced on every join, new run, and requeue
 	stats     Stats
 	onEvent   func(Event)
 }
@@ -136,9 +136,9 @@ func NewManager(cfg Config) *Manager {
 		cfg.Clock = time.Now
 	}
 	return &Manager{
-		cfg:      cfg,
-		workers:  map[string]*workerState{},
-		joinWake: make(chan struct{}),
+		cfg:     cfg,
+		workers: map[string]*workerState{},
+		wake:    make(chan struct{}),
 	}
 }
 
@@ -196,9 +196,15 @@ func (m *Manager) Join(name string, caps map[string]string) Worker {
 	m.stats.WorkersJoined++
 	m.logf("fleet: worker %s (%s) joined", w.id, w.name)
 	m.event(Event{Type: "join", Worker: w.id, Detail: w.name})
-	close(m.joinWake)
-	m.joinWake = make(chan struct{})
+	m.wakeLocked()
 	return m.snapshotLocked(w)
+}
+
+// wakeLocked wakes everyone blocked on the wake channel: WaitWorkers counts
+// workers again, an idle local worker asks for a shard again.
+func (m *Manager) wakeLocked() {
+	close(m.wake)
+	m.wake = make(chan struct{})
 }
 
 // Heartbeat renews the worker's registration lease.
@@ -395,7 +401,7 @@ func (m *Manager) WaitWorkers(ctx context.Context, n int) error {
 		m.mu.Lock()
 		m.expireLocked(m.now())
 		count := m.activeLocked()
-		wake := m.joinWake
+		wake := m.wake
 		m.mu.Unlock()
 		if count >= n {
 			return nil

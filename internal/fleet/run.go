@@ -90,6 +90,7 @@ type Run struct {
 	done        map[int]bool
 	remaining   int
 	ended       bool
+	endCh       chan struct{} // closed when the run ends
 	completions chan ShardDone
 }
 
@@ -126,6 +127,7 @@ func (m *Manager) StartRun(rc RunConfig) (*Run, error) {
 		leases:      map[string]*shardLease{},
 		done:        map[int]bool{},
 		remaining:   len(rc.Pending),
+		endCh:       make(chan struct{}),
 		completions: make(chan ShardDone, len(rc.Pending)+1),
 	}
 	for _, k := range rc.Pending {
@@ -137,6 +139,7 @@ func (m *Manager) StartRun(rc RunConfig) (*Run, error) {
 	m.runs = append(m.runs, r)
 	m.logf("fleet: run %s opened (%d shards pending)", r.id, len(rc.Pending))
 	m.event(Event{Type: "run_start", Run: r.id, Shards: rc.Shards})
+	m.wakeLocked()
 	return r, nil
 }
 
@@ -184,6 +187,7 @@ func (m *Manager) endRunLocked(r *Run) {
 		return
 	}
 	r.ended = true
+	close(r.endCh)
 	for _, l := range r.leases {
 		if w, ok := m.workers[l.worker]; ok && w.lease == l {
 			w.lease = nil
@@ -201,7 +205,14 @@ func (m *Manager) endRunLocked(r *Run) {
 	m.event(Event{Type: "run_end", Run: r.id})
 }
 
-// failLocked ends the run with a terminal error on the completion channel.
+// fail ends the run with a terminal error on the completion channel.
+func (r *Run) fail(err error) {
+	r.m.mu.Lock()
+	defer r.m.mu.Unlock()
+	r.failLocked(err)
+}
+
+// failLocked is fail with the manager lock held.
 func (r *Run) failLocked(err error) {
 	if r.ended {
 		return
@@ -231,14 +242,21 @@ type Assignment struct {
 func (m *Manager) Lease(workerID string) (*Assignment, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	a, _, err := m.leaseLocked(workerID)
+	return a, err
+}
+
+// leaseLocked is Lease with the manager lock held; it also returns the run
+// the assignment belongs to.
+func (m *Manager) leaseLocked(workerID string) (*Assignment, *Run, error) {
 	m.expireLocked(m.now())
 	w, ok := m.workers[workerID]
 	if !ok {
-		return nil, ErrUnknownWorker
+		return nil, nil, ErrUnknownWorker
 	}
 	w.lastSeen = m.now()
 	if w.draining {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if l := w.lease; l != nil {
 		// A worker asking for new work while we think it still holds a
@@ -275,9 +293,9 @@ func (m *Manager) Lease(workerID string) (*Assignment, error) {
 			Spec:     spec,
 			LeaseTTL: m.cfg.LeaseTTL.Seconds(),
 			Trace:    r.trace,
-		}, nil
+		}, r, nil
 	}
-	return nil, nil
+	return nil, nil, nil
 }
 
 // requeueLocked returns a leased shard to the front of its run's queue (a
@@ -305,6 +323,7 @@ func (m *Manager) requeueLocked(l *shardLease, stolen bool) {
 		return
 	}
 	r.queue = append([]shardTask{{k: l.k, attempts: l.attempts}}, r.queue...)
+	m.wakeLocked()
 }
 
 // CompleteRequest is a worker reporting one finished shard.

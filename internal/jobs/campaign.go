@@ -1,8 +1,6 @@
 package jobs
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/campaign"
@@ -12,16 +10,11 @@ import (
 // KindCampaign labels campaign jobs.
 const KindCampaign = "campaign"
 
-// KindCoordinated labels coordinated (fan-out) campaign jobs: the
-// coordinator dispatches the shards of one campaign to remote workers and
-// the job completes with the merged full-factorial outcome.
-const KindCoordinated = "campaign-coordinated"
-
-// CampaignSpec is the JSON body of POST /api/v1/jobs: the campaign factorial
-// with every dimension optional — absent fields keep the paper-sized
-// defaults of campaign.DefaultConfig. Shard ("k/n") restricts the job to
-// one partition of the cell enumeration, so several processes (or several
-// jobs) can split a campaign and merge their results.
+// CampaignSpec is the campaign part of a POST /api/v1/campaigns body: the
+// factorial with every dimension optional — absent fields keep the
+// paper-sized defaults of campaign.DefaultConfig. Shard ("k/n") restricts
+// the spec to one partition of the cell enumeration; only the fleet sets it,
+// on the assignment of each leased shard.
 type CampaignSpec struct {
 	Algos        []string `json:"algos,omitempty"`
 	Shapes       []string `json:"shapes,omitempty"`
@@ -72,105 +65,16 @@ func (s CampaignSpec) Resolve() (campaign.Config, campaign.Shard, error) {
 	return cfg, shard, nil
 }
 
-// CampaignOutcome is a completed campaign job's payload: the (possibly
-// partial, if sharded) result plus the campaign identity header, so result
-// consumers can refuse to merge jobs from different campaigns.
+// CampaignOutcome is a completed campaign job's payload: the merged result
+// plus the campaign identity header it ran under.
 type CampaignOutcome struct {
 	Header campaign.Header
 	Result *campaign.Result
 }
 
-// SubmitCampaign validates the spec and queues it on the engine. The job's
-// progress counts completed cells out of the shard's share of the
-// factorial; its result is a *CampaignOutcome covering the shard (the full
-// campaign for the zero shard).
-func SubmitCampaign(e *Engine, spec CampaignSpec) (*Job, error) {
-	cfg, shard, err := spec.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, cell := range campaign.Cells(cfg) {
-		if shard.Includes(cell.Index) {
-			total++
-		}
-	}
-	// The spec rides along as the job's persisted descriptor: a restarted
-	// server re-resolves it deterministically to resume the job.
-	meta, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	return e.SubmitWithMeta(KindCampaign, total, meta, campaignFn(cfg, shard, nil)), nil
-}
-
-// ResubmitCampaign re-queues an interrupted campaign job from a previous
-// process under its original ID, skipping the prior cells journaled before
-// the crash and merging them into the final result — which therefore equals
-// the uninterrupted run byte-for-byte (cells depend only on (cfg, index),
-// and Merge restores enumeration order).
-func ResubmitCampaign(e *Engine, id string, spec CampaignSpec, prior []campaign.Cell) (*Job, error) {
-	cfg, shard, err := spec.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, cell := range campaign.Cells(cfg) {
-		if shard.Includes(cell.Index) {
-			total++
-		}
-	}
-	meta, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	return e.Resubmit(id, KindCampaign, total, meta, campaignFn(cfg, shard, prior))
-}
-
-// campaignFn builds the job body: run the (remaining) cells, journal each
-// completion, and merge prior cells back in.
-func campaignFn(cfg campaign.Config, shard campaign.Shard, prior []campaign.Cell) Fn {
-	return func(ctx context.Context, j *Job) (any, error) {
-		skip := make(map[string]bool, len(prior))
-		for _, c := range prior {
-			skip[c.Key()] = true
-		}
-		j.Advance(len(prior))
-		res, err := campaign.RunContext(ctx, cfg, campaign.RunOptions{
-			Shard: shard,
-			Skip:  skip,
-			OnCell: func(c campaign.Cell) error {
-				j.Advance(1)
-				if j.journal != nil {
-					j.journal.JobCell(j.id, c)
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(prior) > 0 {
-			priorRes := &campaign.Result{Algos: append([]string(nil), cfg.Algos...), Cells: prior}
-			for _, c := range prior {
-				priorRes.Total += c.Runs
-			}
-			res, err = campaign.Merge(priorRes, res)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &CampaignOutcome{Header: campaign.NewHeader(cfg), Result: res}, nil
-	}
-}
-
-// CampaignResult extracts the campaign outcome of a Done campaign job
-// (plain or coordinated — both complete with a *CampaignOutcome).
+// CampaignResult extracts the campaign outcome of a Done campaign job.
 func CampaignResult(j *Job) (*CampaignOutcome, error) {
 	st := j.Status()
-	if st.Kind != KindCampaign && st.Kind != KindCoordinated {
-		return nil, fmt.Errorf("jobs: %s is a %s job, not a campaign", st.ID, st.Kind)
-	}
 	if st.State != Done {
 		return nil, fmt.Errorf("jobs: %s is %s", st.ID, st.State)
 	}

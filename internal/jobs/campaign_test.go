@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 )
@@ -17,131 +16,6 @@ func smallSpec() CampaignSpec {
 		ClusterSizes: []int{16, 32},
 		Replicates:   2,
 		Seed:         11,
-	}
-}
-
-func TestCampaignJobEndToEnd(t *testing.T) {
-	e := newTestEngine(t, 2)
-	j, err := SubmitCampaign(e, smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitState(t, j, Done)
-	if st.Kind != KindCampaign {
-		t.Fatalf("kind = %q", st.Kind)
-	}
-	if st.Total != 4 || st.Done != 4 {
-		t.Fatalf("progress = %d/%d, want 4/4", st.Done, st.Total)
-	}
-	out, err := CampaignResult(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Result.Cells) != 4 || out.Result.Total != 8 {
-		t.Fatalf("result = %d cells, %d runs", len(out.Result.Cells), out.Result.Total)
-	}
-
-	// The job result must equal the synchronous run of the same spec, and
-	// the outcome must carry the campaign's identity header.
-	cfg, _, err := smallSpec().Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Header.Matches(cfg); err != nil {
-		t.Fatal(err)
-	}
-	direct, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.Result, direct) {
-		t.Fatal("job result differs from synchronous run")
-	}
-}
-
-// TestShardedCampaignJobsMerge splits one campaign across two shard jobs
-// and checks the merged result equals the unsharded job.
-func TestShardedCampaignJobsMerge(t *testing.T) {
-	e := newTestEngine(t, 2)
-	full, err := SubmitCampaign(e, smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parts []*campaign.Result
-	for _, shard := range []string{"1/2", "2/2"} {
-		spec := smallSpec()
-		spec.Shard = shard
-		j, err := SubmitCampaign(e, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := waitState(t, j, Done)
-		if st.Total != 2 {
-			t.Fatalf("shard %s total = %d, want 2", shard, st.Total)
-		}
-		out, err := CampaignResult(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, out.Result)
-	}
-	merged, err := campaign.Merge(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, full, Done)
-	fullOut, err := CampaignResult(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, fullOut.Result) {
-		t.Fatal("merged shard jobs differ from the unsharded job")
-	}
-	if err := merged.Complete(4); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCancelMidCampaign cancels a campaign while its cells are running and
-// checks the job lands in Cancelled without completing the factorial. Run
-// under -race this exercises the engine/campaign cancellation handshake.
-func TestCancelMidCampaign(t *testing.T) {
-	e := newTestEngine(t, 2)
-	spec := CampaignSpec{
-		Algos:        []string{"cpa", "mcpa"},
-		Shapes:       []string{"random", "forkjoin", "wide", "long"},
-		DAGSizes:     []int{40, 80},
-		ClusterSizes: []int{32, 64, 128},
-		Replicates:   6,
-		Seed:         5,
-		Workers:      2,
-	}
-	j, err := SubmitCampaign(e, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Let it make some progress, then cancel.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := j.Status()
-		if st.State == Running && st.Done >= 1 {
-			break
-		}
-		if st.State.Terminal() {
-			t.Fatalf("campaign finished before cancel: %+v", st)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign never progressed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	j.Cancel()
-	st := waitState(t, j, Cancelled)
-	if st.Done >= st.Total {
-		t.Fatalf("cancelled campaign completed all %d cells", st.Total)
-	}
-	if _, err := CampaignResult(j); err == nil {
-		t.Fatal("cancelled job yielded a result")
 	}
 }
 
@@ -165,9 +39,6 @@ func TestSpecResolveDefaultsAndErrors(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := SubmitCampaign(newTestEngine(t, 1), CampaignSpec{Algos: []string{"cpa"}}); err == nil {
-		t.Error("SubmitCampaign accepted a bad spec")
-	}
 }
 
 func TestCampaignResultTypeChecks(t *testing.T) {
@@ -176,5 +47,60 @@ func TestCampaignResultTypeChecks(t *testing.T) {
 	waitState(t, j, Done)
 	if _, err := CampaignResult(j); err == nil {
 		t.Fatal("non-campaign job yielded a campaign result")
+	}
+}
+
+// submitSpec runs a campaign spec as an engine job the way a fleet worker
+// runs a leased shard: resolve the spec, run the cells its shard owns, and
+// wrap them in a CampaignOutcome.
+func submitSpec(t *testing.T, e *Engine, spec CampaignSpec) *Job {
+	t.Helper()
+	cfg, shard, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Submit(KindCampaign, 0, func(ctx context.Context, _ *Job) (any, error) {
+		res, err := campaign.RunContext(ctx, cfg, campaign.RunOptions{Shard: shard})
+		if err != nil {
+			return nil, err
+		}
+		return &CampaignOutcome{Header: campaign.NewHeader(cfg), Result: res}, nil
+	})
+}
+
+// TestShardedCampaignJobsMerge splits one campaign across two shard jobs
+// and checks the merged result equals the unsharded job.
+func TestShardedCampaignJobsMerge(t *testing.T) {
+	e := newTestEngine(t, 2)
+	full := submitSpec(t, e, smallSpec())
+	var parts []*campaign.Result
+	for _, shard := range []string{"1/2", "2/2"} {
+		spec := smallSpec()
+		spec.Shard = shard
+		j := submitSpec(t, e, spec)
+		waitState(t, j, Done)
+		out, err := CampaignResult(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(out.Result.Cells); got != 2 {
+			t.Fatalf("shard %s cells = %d, want 2", shard, got)
+		}
+		parts = append(parts, out.Result)
+	}
+	merged, err := campaign.Merge(parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, full, Done)
+	fullOut, err := CampaignResult(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(merged, fullOut.Result) {
+		t.Fatal("merged shard jobs differ from the unsharded job")
+	}
+	if err := merged.Complete(4); err != nil {
+		t.Fatal(err)
 	}
 }

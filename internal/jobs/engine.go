@@ -5,9 +5,9 @@
 // work and return immediately; clients poll the job until it reaches a
 // terminal state and then fetch the result.
 //
-// The engine is generic — a job is any func(ctx, *Job) (any, error) — and
-// campaign.go provides the campaign-specific driver that the /api/v1/jobs
-// endpoints speak.
+// The engine is generic — a job is any func(ctx, *Job) (any, error). The
+// API server runs every campaign on it as a coordinated run over a worker
+// fleet; campaign.go holds the campaign spec and outcome those jobs share.
 package jobs
 
 import (
@@ -213,7 +213,6 @@ type Engine struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	seq      int
-	prefix   string
 	retain   int
 	jobs     map[string]*Job
 	order    []*Job
@@ -232,7 +231,7 @@ func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{jobs: map[string]*Job{}, prefix: "j"}
+	e := &Engine{jobs: map[string]*Job{}}
 	e.cond = sync.NewCond(&e.mu)
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -251,8 +250,8 @@ func (e *Engine) Submit(kind string, total int, fn Fn) *Job {
 
 // SubmitWithMeta is Submit with an opaque descriptor attached to the job:
 // what the persistence journal stores so an interrupted job can be
-// re-submitted after a restart (the campaign driver attaches the original
-// CampaignSpec JSON).
+// re-submitted after a restart (the API server attaches the campaign
+// request JSON).
 func (e *Engine) SubmitWithMeta(kind string, total int, meta []byte, fn Fn) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
@@ -263,7 +262,7 @@ func (e *Engine) SubmitWithMeta(kind string, total int, meta []byte, fn Fn) *Job
 	}
 	e.mu.Lock()
 	e.seq++
-	j.id = fmt.Sprintf("%s%d", e.prefix, e.seq)
+	j.id = fmt.Sprintf("j%d", e.seq)
 	j.journal = e.journal
 	j.observer = e.observer
 	e.jobs[j.id] = j
@@ -366,20 +365,12 @@ func (e *Engine) RestoreTerminal(st Status, meta []byte, result any) (*Job, erro
 // bumpSeqLocked keeps the generated-ID sequence past an externally assigned
 // ID, so the next Submit cannot mint a colliding one.
 func (e *Engine) bumpSeqLocked(id string) {
-	if !strings.HasPrefix(id, e.prefix) {
+	if !strings.HasPrefix(id, "j") {
 		return
 	}
-	if n, err := strconv.Atoi(id[len(e.prefix):]); err == nil && n > e.seq {
+	if n, err := strconv.Atoi(id[1:]); err == nil && n > e.seq {
 		e.seq = n
 	}
-}
-
-// SetIDPrefix changes the ID prefix ("j" by default) so several engines in
-// one process mint non-colliding IDs. Call before the first Submit.
-func (e *Engine) SetIDPrefix(p string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.prefix = p
 }
 
 // SetJournal attaches a persistence journal: from now on, submissions,

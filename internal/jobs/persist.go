@@ -2,13 +2,10 @@ package jobs
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/persist"
 )
 
@@ -22,9 +19,6 @@ type Journal interface {
 	JobFinished(j *Job)
 	// JobEvicted removes the record of a job dropped by the retention cap.
 	JobEvicted(id string)
-	// JobCell journals one completed campaign cell of a running job — the
-	// checkpoint a restart resumes from.
-	JobCell(jobID string, cell campaign.Cell)
 }
 
 // jobRecord is the persisted form of one job (the engine's namespace,
@@ -43,30 +37,24 @@ type jobRecord struct {
 	Outcome  *CampaignOutcome `json:"outcome,omitempty"`
 }
 
-// Persister journals an engine's jobs into a persist.Store: job records in
-// namespace ns, the streamed cells of running campaign jobs in ns+"-cells"
-// (keyed "<job>/<index>" so one DeletePrefix drops them when the job
-// finishes or is evicted). Writes are best-effort — a persistence failure
-// is counted, never propagated into the job path.
+// Persister journals an engine's jobs into namespace ns of a persist.Store,
+// one record per job ID. It journals no progress: a running job's work
+// keeps its own checkpoint (campaigns: the coordinator's run journal).
+// Writes are best-effort — a persistence failure is counted, never
+// propagated into the job path.
 type Persister struct {
-	ps     persist.Store
-	ns     string
-	cellNS string
-	errs   atomic.Int64
+	ps   persist.Store
+	ns   string
+	errs atomic.Int64
 }
 
 // NewPersister builds a journal writing into the given namespace.
 func NewPersister(ps persist.Store, ns string) *Persister {
-	return &Persister{ps: ps, ns: ns, cellNS: ns + "-cells"}
+	return &Persister{ps: ps, ns: ns}
 }
 
 // Errors counts failed persistence writes.
 func (p *Persister) Errors() int64 { return p.errs.Load() }
-
-// cellKey zero-pads the index so lexical key order is numeric cell order.
-func cellKey(jobID string, index int) string {
-	return fmt.Sprintf("%s/%08d", jobID, index)
-}
 
 func (p *Persister) record(j *Job) jobRecord {
 	st := j.Status()
@@ -103,57 +91,58 @@ func (p *Persister) write(rec jobRecord, durable bool) {
 // JobSubmitted implements Journal.
 func (p *Persister) JobSubmitted(j *Job) { p.write(p.record(j), false) }
 
-// JobFinished implements Journal: the terminal record is durable, and the
-// job's journaled cells are dropped — the outcome now carries them.
-func (p *Persister) JobFinished(j *Job) {
-	p.write(p.record(j), true)
-	if err := p.ps.DeletePrefix(p.cellNS, j.ID()+"/"); err != nil {
-		p.errs.Add(1)
-	}
-}
+// JobFinished implements Journal: the terminal record is durable.
+func (p *Persister) JobFinished(j *Job) { p.write(p.record(j), true) }
 
 // JobEvicted implements Journal.
 func (p *Persister) JobEvicted(id string) {
 	if err := p.ps.Delete(p.ns, id); err != nil {
 		p.errs.Add(1)
 	}
-	if err := p.ps.DeletePrefix(p.cellNS, id+"/"); err != nil {
-		p.errs.Add(1)
-	}
 }
 
-// JobCell implements Journal.
-func (p *Persister) JobCell(jobID string, cell campaign.Cell) {
-	b, err := json.Marshal(cell)
-	if err != nil {
-		p.errs.Add(1)
-		return
+// Adopt moves the job records of namespace ns into p's namespace under
+// their own IDs, relabelled as campaign jobs, and empties ns — how the
+// records of a second engine an older server kept ("cjobs") join the one
+// engine. Undecodable records are dropped and counted. Call before Recover.
+func (p *Persister) Adopt(ns string) error {
+	records, err := p.ps.Load(ns)
+	if err != nil || len(records) == 0 {
+		return err
 	}
-	if err := p.ps.Put(p.cellNS, cellKey(jobID, cell.Index), b); err != nil {
-		p.errs.Add(1)
+	for _, raw := range records {
+		var rec jobRecord
+		if err := json.Unmarshal(raw, &rec); err != nil || rec.ID == "" {
+			p.errs.Add(1)
+			continue
+		}
+		rec.Kind = KindCampaign
+		p.write(rec, true)
 	}
+	return p.ps.DeletePrefix(ns, "")
 }
 
 // RecoverStats summarizes what Recover restored, served on /api/v1/meta.
 type RecoverStats struct {
 	// Restored counts terminal jobs re-listed with their results intact.
 	Restored int `json:"restored"`
-	// Resumed counts interrupted campaign jobs re-submitted from their
-	// journaled cells.
+	// Resumed counts interrupted jobs re-submitted under their own IDs.
 	Resumed int `json:"resumed"`
-	// Interrupted counts jobs that could not be resumed (coordinated
-	// campaigns, undecodable specs); they reappear as failed.
+	// Interrupted counts jobs that could not be resumed (no or undecodable
+	// descriptor); they reappear as failed.
 	Interrupted int `json:"interrupted"`
-	// Cells counts journaled cells the resumed jobs did not recompute.
-	Cells int `json:"cells_skipped"`
 }
+
+// Resumer rebuilds the work of an interrupted job from its ID and its
+// persisted descriptor (Job.Meta); total is the job's progress extent.
+type Resumer func(id string, meta []byte) (fn Fn, total int, err error)
 
 // Recover replays the persisted job records of a previous process into the
 // engine: terminal jobs are restored as-is (their results serve
-// byte-identically), interrupted campaign jobs are re-submitted with their
-// journaled cells skipped, and everything else reappears as failed with an
-// explanatory error. Call once, after SetJournal and before serving.
-func (p *Persister) Recover(e *Engine) (RecoverStats, error) {
+// byte-identically), interrupted jobs are re-submitted under their own IDs
+// with the work resume rebuilds, and everything else reappears as failed
+// with an explanatory error. Call once, after SetJournal and before serving.
+func (p *Persister) Recover(e *Engine, resume Resumer) (RecoverStats, error) {
 	var stats RecoverStats
 	records, err := p.ps.Load(p.ns)
 	if err != nil {
@@ -188,24 +177,23 @@ func (p *Persister) Recover(e *Engine) (RecoverStats, error) {
 				continue
 			}
 			stats.Restored++
-		case rec.Kind == KindCampaign && len(rec.Spec) > 0:
-			var spec CampaignSpec
-			if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-				p.failInterrupted(e, rec, &stats)
-				continue
-			}
-			prior := p.loadCells(rec.ID)
-			if _, err := ResubmitCampaign(e, rec.ID, spec, prior); err != nil {
-				p.failInterrupted(e, rec, &stats)
-				continue
-			}
+		case len(rec.Spec) > 0 && p.resume(e, rec, resume):
 			stats.Resumed++
-			stats.Cells += len(prior)
 		default:
 			p.failInterrupted(e, rec, &stats)
 		}
 	}
 	return stats, nil
+}
+
+// resume re-submits one interrupted job, reporting whether it could.
+func (p *Persister) resume(e *Engine, rec jobRecord, resume Resumer) bool {
+	fn, total, err := resume(rec.ID, rec.Spec)
+	if err != nil {
+		return false
+	}
+	_, err = e.Resubmit(rec.ID, rec.Kind, total, rec.Spec, fn)
+	return err == nil
 }
 
 // failInterrupted restores a non-resumable interrupted job as failed and
@@ -222,9 +210,6 @@ func (p *Persister) failInterrupted(e *Engine, rec jobRecord, stats *RecoverStat
 		return
 	}
 	p.write(rec, true)
-	if err := p.ps.DeletePrefix(p.cellNS, rec.ID+"/"); err != nil {
-		p.errs.Add(1)
-	}
 	stats.Interrupted++
 }
 
@@ -234,31 +219,4 @@ func statusOf(rec jobRecord) Status {
 		Done: rec.Done, Total: rec.Total, Err: rec.Err,
 		Created: rec.Created, Started: rec.Started, Finished: rec.Finished,
 	}
-}
-
-// loadCells returns the journaled cells of one job, in index order.
-func (p *Persister) loadCells(jobID string) []campaign.Cell {
-	all, err := p.ps.Load(p.cellNS)
-	if err != nil {
-		p.errs.Add(1)
-		return nil
-	}
-	prefix := jobID + "/"
-	keys := make([]string, 0, len(all))
-	for k := range all {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	cells := make([]campaign.Cell, 0, len(keys))
-	for _, k := range keys {
-		var c campaign.Cell
-		if err := json.Unmarshal(all[k], &c); err != nil {
-			p.errs.Add(1)
-			continue
-		}
-		cells = append(cells, c)
-	}
-	return cells
 }

@@ -12,14 +12,55 @@ import (
 	"repro/internal/persist"
 )
 
+// campaignFn runs the whole campaign of spec in-process — a stand-in for
+// the coordinated run the API server submits.
+func campaignFn(spec CampaignSpec) (Fn, int, error) {
+	cfg, _, err := spec.Resolve()
+	if err != nil {
+		return nil, 0, err
+	}
+	return func(ctx context.Context, j *Job) (any, error) {
+		res, err := campaign.RunContext(ctx, cfg, campaign.RunOptions{})
+		if err != nil {
+			return nil, err
+		}
+		j.Advance(len(res.Cells))
+		return &CampaignOutcome{Header: campaign.NewHeader(cfg), Result: res}, nil
+	}, len(campaign.Cells(cfg)), nil
+}
+
+// resumeCampaign is the Resumer of these tests: the descriptor is the
+// spec JSON.
+func resumeCampaign(_ string, meta []byte) (Fn, int, error) {
+	var spec CampaignSpec
+	if err := json.Unmarshal(meta, &spec); err != nil {
+		return nil, 0, err
+	}
+	return campaignFn(spec)
+}
+
+// submitCampaign queues spec with its JSON as the persisted descriptor.
+func submitCampaign(t *testing.T, e *Engine, spec CampaignSpec) *Job {
+	t.Helper()
+	meta, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, total, err := campaignFn(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.SubmitWithMeta(KindCampaign, total, meta, fn)
+}
+
 // restartEngine simulates a process restart against the same store: a fresh
-// engine with a fresh persister journaling into the same namespaces.
+// engine with a fresh persister journaling into the same namespace.
 func restartEngine(t *testing.T, ps persist.Store, workers int) (*Engine, *Persister, RecoverStats) {
 	t.Helper()
 	e := newTestEngine(t, workers)
 	p := NewPersister(ps, "jobs")
 	e.SetJournal(p)
-	stats, err := p.Recover(e)
+	stats, err := p.Recover(e, resumeCampaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,23 +85,11 @@ func outcomeJSON(t *testing.T, j *Job) []byte {
 func TestPersistTerminalRoundTrip(t *testing.T) {
 	ps := persist.Memory()
 	e1, p1, _ := restartEngine(t, ps, 2)
-	j, err := SubmitCampaign(e1, smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submitCampaign(t, e1, smallSpec())
 	waitState(t, j, Done)
 	want := outcomeJSON(t, j)
 	if n := p1.Errors(); n != 0 {
 		t.Fatalf("persist errors = %d", n)
-	}
-	// The finished job's streamed cells must be gone — the outcome carries
-	// them now.
-	cells, err := ps.Load("jobs-cells")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 0 {
-		t.Fatalf("finished job left %d journaled cells", len(cells))
 	}
 
 	e2, _, stats := restartEngine(t, ps, 2)
@@ -85,6 +114,9 @@ func TestPersistTerminalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistResumeInterruptedCampaign fabricates the record a crash leaves
+// behind — running, no terminal write — and checks Recover hands its ID and
+// descriptor to the resumer and re-queues the rebuilt work under that ID.
 func TestPersistResumeInterruptedCampaign(t *testing.T) {
 	spec := smallSpec()
 	cfg, _, err := spec.Resolve()
@@ -96,8 +128,6 @@ func TestPersistResumeInterruptedCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fabricate the journal a crash leaves behind: a running record plus the
-	// first two cells, and no terminal write.
 	ps := persist.Memory()
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
@@ -116,19 +146,24 @@ func TestPersistResumeInterruptedCampaign(t *testing.T) {
 	if err := ps.PutDurable("jobs", rec.ID, b); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range direct.Cells[:2] {
-		cb, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.Put("jobs-cells", cellKey(rec.ID, c.Index), cb); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	e, _, stats := restartEngine(t, ps, 2)
-	if stats.Resumed != 1 || stats.Cells != 2 || stats.Restored != 0 {
+	e := newTestEngine(t, 2)
+	p := NewPersister(ps, "jobs")
+	e.SetJournal(p)
+	var gotID string
+	var gotMeta []byte
+	stats, err := p.Recover(e, func(id string, meta []byte) (Fn, int, error) {
+		gotID, gotMeta = id, meta
+		return resumeCampaign(id, meta)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resumed != 1 || stats.Restored != 0 || stats.Interrupted != 0 {
 		t.Fatalf("recover stats = %+v", stats)
+	}
+	if gotID != "j1" || !bytes.Equal(gotMeta, specJSON) {
+		t.Fatalf("resumer got %q %s", gotID, gotMeta)
 	}
 	j, ok := e.Get("j1")
 	if !ok {
@@ -142,8 +177,6 @@ func TestPersistResumeInterruptedCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Byte-identity with the uninterrupted run: the journaled cells were
-	// skipped, not recomputed, and Merge restored enumeration order.
 	got, err := json.Marshal(out.Result)
 	if err != nil {
 		t.Fatal(err)
@@ -155,36 +188,100 @@ func TestPersistResumeInterruptedCampaign(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed result differs:\n%s\nvs\n%s", got, want)
 	}
+	// A later submission must not reuse the resumed ID.
+	if next := e.Submit("demo", 0, func(context.Context, *Job) (any, error) { return nil, nil }); next.ID() == "j1" {
+		t.Fatal("sequence not bumped past the resumed job")
+	}
 }
 
+// TestPersistInterruptedUnknownKind covers the jobs a restart cannot
+// resume: no descriptor at all, and one the resumer rejects. Both come back
+// failed.
 func TestPersistInterruptedUnknownKind(t *testing.T) {
 	ps := persist.Memory()
-	rec := jobRecord{ID: "j1", Kind: "demo", State: Running, Total: 3, Created: time.Now()}
+	for _, rec := range []jobRecord{
+		{ID: "j1", Kind: "demo", State: Running, Total: 3, Created: time.Now()},
+		{ID: "j2", Kind: KindCampaign, State: Running, Created: time.Now(), Spec: []byte(`{"algos":["cpa"]}`)},
+	} {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.PutDurable("jobs", rec.ID, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e, _, stats := restartEngine(t, ps, 1)
+	if stats.Interrupted != 2 || stats.Resumed != 0 {
+		t.Fatalf("recover stats = %+v", stats)
+	}
+	for _, id := range []string{"j1", "j2"} {
+		j, ok := e.Get(id)
+		if !ok {
+			t.Fatalf("interrupted job %s not listed", id)
+		}
+		st := j.Status()
+		if st.State != Failed || !strings.Contains(st.Err, "interrupted by server restart") {
+			t.Fatalf("status = %+v", st)
+		}
+	}
+	// The rewritten records are terminal: the next restart restores, not
+	// re-interrupts.
+	_, _, again := restartEngine(t, ps, 1)
+	if again.Restored != 2 || again.Interrupted != 0 {
+		t.Fatalf("second recover stats = %+v", again)
+	}
+}
+
+// TestPersistAdopt folds the records of a second engine's namespace into
+// the journal's own: same IDs, campaign kind, the old namespace emptied,
+// and an undecodable record dropped and counted.
+func TestPersistAdopt(t *testing.T) {
+	j := submitCampaign(t, newTestEngine(t, 1), smallSpec())
+	waitState(t, j, Done)
+	want := outcomeJSON(t, j)
+	rec := (&Persister{}).record(j)
+	rec.ID, rec.Kind = "c1", "campaign-coordinated"
 	b, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.PutDurable("jobs", rec.ID, b); err != nil {
-		t.Fatal(err)
+	ps := persist.Memory()
+	for key, val := range map[string][]byte{"c1": b, "c2": []byte("{torn")} {
+		if err := ps.Put("cjobs", key, val); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	e, _, stats := restartEngine(t, ps, 1)
-	if stats.Interrupted != 1 {
+	e := newTestEngine(t, 1)
+	p := NewPersister(ps, "jobs")
+	e.SetJournal(p)
+	if err := p.Adopt("cjobs"); err != nil {
+		t.Fatal(err)
+	}
+	if p.Errors() != 1 {
+		t.Fatalf("errors = %d, want 1 for the torn record", p.Errors())
+	}
+	if left, _ := ps.Load("cjobs"); len(left) != 0 {
+		t.Fatalf("old namespace keeps %d records", len(left))
+	}
+	stats, err := p.Recover(e, resumeCampaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Restored != 1 {
 		t.Fatalf("recover stats = %+v", stats)
 	}
-	j, ok := e.Get("j1")
+	got, ok := e.Get("c1")
 	if !ok {
-		t.Fatal("interrupted job not listed")
+		t.Fatal("adopted job not listed under its own ID")
 	}
-	st := j.Status()
-	if st.State != Failed || !strings.Contains(st.Err, "interrupted by server restart") {
-		t.Fatalf("status = %+v", st)
+	if st := got.Status(); st.Kind != KindCampaign || st.State != Done {
+		t.Fatalf("adopted status = %+v", st)
 	}
-	// The rewritten record is terminal: the next restart restores, not
-	// re-interrupts.
-	_, _, again := restartEngine(t, ps, 1)
-	if again.Restored != 1 || again.Interrupted != 0 {
-		t.Fatalf("second recover stats = %+v", again)
+	if b := outcomeJSON(t, got); !bytes.Equal(b, want) {
+		t.Fatalf("adopted result differs:\n%s\nvs\n%s", b, want)
 	}
 }
 
