@@ -344,8 +344,15 @@ func (s *Server) listSessions(w http.ResponseWriter, r *http.Request) {
 // scheduler server-side (CreateRequest), text/csv and everything else go
 // through the pluggable parser registry as "csv" and "jedule" documents.
 func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
-	defer body.Close()
+	raw, err := readUpload(w, r)
+	if err != nil {
+		status, code := http.StatusBadRequest, "bad_request"
+		if _, ok := err.(*http.MaxBytesError); ok {
+			status, code = http.StatusRequestEntityTooLarge, "payload_too_large"
+		}
+		writeError(w, status, code, "reading body: %v", err)
+		return
+	}
 
 	kind := r.URL.Query().Get("format")
 	if kind == "" {
@@ -361,34 +368,19 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 	}
 
 	name := r.URL.Query().Get("name")
-	// With persistence on, the body is captured verbatim so the session's
+	// With persistence on, the session keeps the body verbatim so its
 	// recipe replays the exact client input after a restart: the raw JSON
 	// re-runs the deterministic generator, the raw document re-parses.
-	var input io.Reader = body
-	var raw []byte
-	if s.store.PersistEnabled() {
-		var err error
-		raw, err = io.ReadAll(body)
-		if err != nil {
-			status, code := http.StatusBadRequest, "bad_request"
-			if _, ok := err.(*http.MaxBytesError); ok {
-				status, code = http.StatusRequestEntityTooLarge, "payload_too_large"
-			}
-			writeError(w, status, code, "reading body: %v", err)
-			return
-		}
-		input = bytes.NewReader(raw)
-	}
+	durable := s.store.PersistEnabled()
 	var (
 		schedule *core.Schedule
 		source   string
 		recipe   *Recipe
-		err      error
 	)
 	switch kind {
 	case "generate", "json":
 		var req CreateRequest
-		dec := json.NewDecoder(input)
+		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "bad create request: %v", err)
@@ -406,17 +398,17 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 			name = req.Algo
 		}
 		source = "generated"
-		if raw != nil {
+		if durable {
 			recipe = &Recipe{Kind: "generate", Request: raw}
 		}
 	default:
-		schedule, err = jedxml.ReadFormat(kind, input)
+		schedule, err = jedxml.ReadFormat(kind, bytes.NewReader(raw))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_document", "%v", err)
 			return
 		}
 		source = "upload"
-		if raw != nil {
+		if durable {
 			recipe = &Recipe{Kind: "doc", Format: kind, Doc: raw}
 		}
 	}
@@ -439,6 +431,23 @@ func (s *Server) deleteSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// readUpload reads a request body of at most maxUploadBytes, whatever its
+// kind. A body declared longer is refused unread; a declared length sizes
+// the buffer, so a large upload is copied once.
+func readUpload(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxUploadBytes {
+		return nil, &http.MaxBytesError{Limit: maxUploadBytes}
+	}
+	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
+	defer body.Close()
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
 }
 
 // Stateless read surface ----------------------------------------------------

@@ -360,6 +360,42 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// filler reads as an endless run of 'x'.
+type filler struct{}
+
+func (filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// An upload over maxUploadBytes answers 413 whether or not the server
+// persists sessions, and an upload of unknown length is read the same way.
+func TestUploadSizeLimit(t *testing.T) {
+	_, memory := newTestServer(t)
+	h := startPersistServer(t, t.TempDir(), "")
+	t.Cleanup(func() { h.stop(t) })
+	doc := xmlBody(t, core.NewSingleCluster("c", 1)).Bytes()
+	for mode, srv := range map[string]*Server{"memory": memory, "persistent": h.srv} {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions", io.LimitReader(filler{}, maxUploadBytes+1))
+		req.ContentLength = maxUploadBytes + 1
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "payload_too_large") {
+			t.Errorf("%s: oversized upload answered %d %s", mode, rec.Code, rec.Body.String())
+		}
+
+		req = httptest.NewRequest(http.MethodPost, "/api/v1/sessions", bytes.NewReader(doc))
+		req.ContentLength = -1
+		rec = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			t.Errorf("%s: upload of unknown length answered %d %s", mode, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestConcurrentRenders is the acceptance criterion: two sessions rendered
 // concurrently with different windows, sizes, and formats must not
 // interfere. Run under -race this also proves the store and sessions are

@@ -88,3 +88,23 @@ func TestWriteCSVRejectsInvalid(t *testing.T) {
 		t.Fatal("WriteCSV accepted an invalid schedule")
 	}
 }
+
+func FuzzReadCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := ReadCSV(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, s); err != nil {
+			t.Fatalf("WriteCSV of an accepted schedule: %v", err)
+		}
+		back, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("ReadCSV of WriteCSV's output: %v\n%s", err, buf.Bytes())
+		}
+		if !sameSchedule(back, s) {
+			t.Fatalf("round trip differs\n got %+v\nwant %+v", back, s)
+		}
+	})
+}

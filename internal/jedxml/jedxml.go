@@ -31,12 +31,32 @@
 // Additional node_property entries beyond the four standard ones round-trip
 // into Task.Properties, which the interactive mode shows on click.
 //
+// Read accepts this subset of XML 1.0:
+//
+//   - elements and attributes, with either quote style;
+//   - the five predefined entities and numeric character references, with
+//     "\r\n" and a lone '\r' in attribute values read as '\n';
+//   - comments, and an XML declaration whose encoding is UTF-8 or absent;
+//   - elements and attributes the format does not name, which are skipped;
+//   - repeated meta_info and grid_info sections, whose entries append;
+//   - an empty int attribute, read as 0; other int attributes are trimmed
+//     of white space before parsing.
+//
+// Within the subset Read accepts and rejects exactly what encoding/xml's
+// decoder accepts and rejects for the same document, reports the same
+// syntax errors, and builds the same schedule. Input outside it — a
+// DOCTYPE or other markup declaration, a CDATA section, a processing
+// instruction other than the XML declaration, a prefixed (namespaced) or
+// non-ASCII name, or input that is not UTF-8 — gets an *UnsupportedError
+// naming the construct. Nothing after the root element's end tag is read.
+//
 // The package also hosts the pluggable parser registry the paper promises
 // ("one can also extend Jedule with a different parser"): see Register,
 // Formats, and ReadFormat. A CSV parser is registered as "csv".
 package jedxml
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -47,7 +67,7 @@ import (
 	"repro/internal/core"
 )
 
-// xml document mirror types
+// xml document mirror types, which Write encodes
 
 type xmlDoc struct {
 	XMLName xml.Name  `xml:"grid_schedule"`
@@ -92,73 +112,13 @@ type xmlHosts struct {
 }
 
 // Read parses a Jedule XML document and validates the resulting schedule.
+// It reads r to the end before parsing.
 func Read(r io.Reader) (*core.Schedule, error) {
-	var doc xmlDoc
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, fmt.Errorf("jedxml: decode: %w", err)
 	}
-	s := &core.Schedule{}
-	if doc.Meta != nil {
-		for _, kv := range doc.Meta.Entries {
-			s.Meta = append(s.Meta, core.Property{Name: kv.Name, Value: kv.Value})
-		}
-	}
-	for _, c := range doc.Grid.Clusters {
-		s.Clusters = append(s.Clusters, core.Cluster{ID: c.ID, Name: c.Name, Hosts: c.Hosts})
-	}
-	for i, n := range doc.Nodes {
-		t := core.Task{}
-		for _, p := range n.Properties {
-			switch p.Name {
-			case "id":
-				t.ID = p.Value
-			case "type":
-				t.Type = p.Value
-			case "start_time":
-				v, err := strconv.ParseFloat(p.Value, 64)
-				if err != nil {
-					return nil, fmt.Errorf("jedxml: task %d: bad start_time %q: %w", i, p.Value, err)
-				}
-				t.Start = v
-			case "end_time":
-				v, err := strconv.ParseFloat(p.Value, 64)
-				if err != nil {
-					return nil, fmt.Errorf("jedxml: task %d: bad end_time %q: %w", i, p.Value, err)
-				}
-				t.End = v
-			default:
-				t.Properties = append(t.Properties, core.Property{Name: p.Name, Value: p.Value})
-			}
-		}
-		for _, cf := range n.Configs {
-			a := core.Allocation{Cluster: -1}
-			for _, p := range cf.Properties {
-				switch p.Name {
-				case "cluster_id":
-					v, err := strconv.Atoi(p.Value)
-					if err != nil {
-						return nil, fmt.Errorf("jedxml: task %q: bad cluster_id %q: %w", t.ID, p.Value, err)
-					}
-					a.Cluster = v
-				case "host_nb":
-					// informational; the host_lists entries are authoritative
-				}
-			}
-			if a.Cluster < 0 {
-				return nil, fmt.Errorf("jedxml: task %q: configuration without cluster_id", t.ID)
-			}
-			for _, h := range cf.Hosts {
-				a.Hosts = append(a.Hosts, core.HostRange{Start: h.Start, N: h.Nb})
-			}
-			t.Allocations = append(t.Allocations, a)
-		}
-		s.Tasks = append(s.Tasks, t)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("jedxml: invalid schedule: %w", err)
-	}
-	return s, nil
+	return parse(buf.Bytes())
 }
 
 // Write serializes the schedule as an indented Jedule XML document.
@@ -220,12 +180,11 @@ func formatFloat(v float64) string {
 
 // ReadFile loads and parses a schedule file.
 func ReadFile(path string) (*core.Schedule, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
+	return parse(data)
 }
 
 // WriteFile serializes the schedule to a file.

@@ -148,7 +148,6 @@ func (j *Job) Cancel() {
 		j.state = Cancelled
 		j.err = context.Canceled
 		j.finished = time.Now()
-		close(j.finishedCh)
 		finished = true
 	}
 	j.mu.Unlock()
@@ -156,6 +155,7 @@ func (j *Job) Cancel() {
 		if j.journal != nil {
 			j.journal.JobFinished(j)
 		}
+		close(j.finishedCh)
 		j.notify(string(Cancelled))
 	}
 }
@@ -174,7 +174,7 @@ func (j *Job) Wait(ctx context.Context) error {
 // run executes the job on a worker goroutine.
 func (j *Job) run() {
 	j.mu.Lock()
-	if j.state != Pending { // cancelled while queued; finishedCh already closed
+	if j.state != Pending { // cancelled while queued; Cancel closes finishedCh
 		j.mu.Unlock()
 		return
 	}
@@ -196,13 +196,15 @@ func (j *Job) run() {
 	}
 	terminal := j.state
 	j.finished = time.Now()
-	close(j.finishedCh)
 	j.mu.Unlock()
 	// Journal the terminal transition after unlocking: the journal reads
 	// the job's status itself, and a durable write has no place under j.mu.
+	// Wait returns only after it: a job a caller saw finish is on record
+	// as finished.
 	if j.journal != nil {
 		j.journal.JobFinished(j)
 	}
+	close(j.finishedCh)
 	j.notify(string(terminal))
 }
 

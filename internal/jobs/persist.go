@@ -3,6 +3,7 @@ package jobs
 import (
 	"encoding/json"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,6 +47,11 @@ type Persister struct {
 	ps   persist.Store
 	ns   string
 	errs atomic.Int64
+
+	// mu orders the writes and deletes of job records. A record reads
+	// the job's status under it, so a submission record written after the
+	// job finished carries the finished state instead of overwriting it.
+	mu sync.Mutex
 }
 
 // NewPersister builds a journal writing into the given namespace.
@@ -88,14 +94,23 @@ func (p *Persister) write(rec jobRecord, durable bool) {
 	}
 }
 
+// journal writes the job's current record.
+func (p *Persister) journal(j *Job, durable bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.write(p.record(j), durable)
+}
+
 // JobSubmitted implements Journal.
-func (p *Persister) JobSubmitted(j *Job) { p.write(p.record(j), false) }
+func (p *Persister) JobSubmitted(j *Job) { p.journal(j, false) }
 
 // JobFinished implements Journal: the terminal record is durable.
-func (p *Persister) JobFinished(j *Job) { p.write(p.record(j), true) }
+func (p *Persister) JobFinished(j *Job) { p.journal(j, true) }
 
 // JobEvicted implements Journal.
 func (p *Persister) JobEvicted(id string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err := p.ps.Delete(p.ns, id); err != nil {
 		p.errs.Add(1)
 	}
