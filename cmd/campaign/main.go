@@ -24,10 +24,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -119,60 +117,26 @@ func runCheckpointed(cfg campaign.Config, opt campaign.RunOptions, out string, r
 		return campaign.RunContext(context.Background(), cfg, opt)
 	}
 
-	var prior *campaign.Result
-	var f *os.File
-	var cw *campaign.CheckpointWriter
-	if resume {
-		cp, err := loadFile(out)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// Nothing to resume: fall through to a fresh checkpoint.
-		case err != nil:
-			return nil, err
-		default:
-			if err := cp.Header.Matches(cfg); err != nil {
-				return nil, fmt.Errorf("%s: %w (rerun without -resume to start over)", out, err)
-			}
-			opt.Skip = cp.Keys()
-			prior = cp.Result()
-			fmt.Printf("resuming %s: %d cells already done\n", out, len(cp.Cells))
-			f, err = os.OpenFile(out, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			// Cut a torn final record before appending, or the first new
-			// record would be concatenated onto it and lost with it.
-			if err := f.Truncate(cp.ValidSize); err != nil {
-				f.Close()
-				return nil, err
-			}
-			cw = campaign.ResumeCheckpointWriter(f)
-		}
+	cp, err := campaign.OpenCheckpoint(out, cfg, resume)
+	if err != nil {
+		return nil, err
 	}
-	if f == nil {
-		var err error
-		f, err = os.Create(out)
-		if err != nil {
-			return nil, err
-		}
-		cw, err = campaign.NewCheckpointWriter(f, cfg)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
+	defer cp.Close()
+	if cp.Prior != nil {
+		opt.Skip = cp.Prior.Keys()
+		fmt.Printf("resuming %s: %d cells already done\n", out, len(cp.Prior.Cells))
 	}
-	defer f.Close()
 
-	opt.OnCell = cw.WriteCell
+	opt.OnCell = cp.WriteCell
 	res, err := campaign.RunContext(context.Background(), cfg, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := cw.Sync(); err != nil {
+	if err := cp.Sync(); err != nil {
 		return nil, err
 	}
-	if prior != nil {
-		return campaign.Merge(prior, res)
+	if cp.Prior != nil {
+		return campaign.Merge(cp.Prior.Result(), res)
 	}
 	return res, nil
 }
@@ -187,7 +151,7 @@ func mergeFiles(paths []string) (*campaign.Result, int, error) {
 	var parts []*campaign.Result
 	var first *campaign.Checkpoint
 	for _, path := range paths {
-		cp, err := loadFile(path)
+		cp, err := campaign.LoadCheckpointFile(path)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -203,19 +167,6 @@ func mergeFiles(paths []string) (*campaign.Result, int, error) {
 		return nil, 0, err
 	}
 	return res, first.Header.Cells, nil
-}
-
-func loadFile(path string) (*campaign.Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cp, err := campaign.LoadCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return cp, nil
 }
 
 // printSummary writes the per-cell table and the corner-case list — the

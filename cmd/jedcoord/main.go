@@ -24,8 +24,9 @@
 // command's. -out streams every merged cell into a JSONL checkpoint in the
 // cmd/campaign format — `campaign -merge merged.jsonl` reads it — and
 // -resume continues a torn coordinator run without queueing finished
-// shards again. GET /api/v1/meta on the fleet address reports the fleet
-// counters.
+// shards again. A coordinator on another machine resumes the run from the
+// same file on a shared directory. GET /api/v1/meta on the fleet address
+// reports the fleet counters.
 //
 // Observability: every run mints a trace ID (printed on stderr) that rides
 // each shard lease, so one coordinator run is attributable in every
@@ -33,12 +34,6 @@
 // /api/v1/metrics on the fleet address serves the coordinator's registry
 // (shard timings, fleet counters, worker-protocol request metrics) in the
 // Prometheus text format, and -pprof mounts /debug/pprof/ there.
-//
-// -state-dir with -run-id journals the run's identity header and every
-// merged cell into a shared persistence directory (the jedserve -state-dir
-// format) instead of — or alongside — the -out file, so a coordinator
-// restarted on any machine that sees the directory resumes with -resume
-// from exactly where its predecessor stopped.
 package main
 
 import (
@@ -55,12 +50,12 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/cliutil"
 	"repro/internal/coord"
 	"repro/internal/fleet"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	_ "repro/internal/sched/all"
 )
 
@@ -76,9 +71,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "campaign seed")
 		threshold   = flag.Float64("threshold", 1.2, "corner-case spread threshold")
 		out         = flag.String("out", "", "stream merged cells to this JSONL checkpoint file")
-		stateDir    = flag.String("state-dir", "", "journal run progress into this shared persistence directory (requires -run-id)")
-		runID       = flag.String("run-id", "", "run name inside -state-dir; reuse it with -resume to continue that run")
-		resume      = flag.Bool("resume", false, "skip the shards already complete in -out / the -state-dir journal and append")
+		resume      = flag.Bool("resume", false, "skip the shards already complete in -out and append")
 		maxAttempts = flag.Int("max-attempts", 3, "leases per shard before the run fails")
 		quiet       = flag.Bool("quiet", false, "suppress progress lines on stderr")
 		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof/ on the fleet address (off by default)")
@@ -90,11 +83,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if (*stateDir == "") != (*runID == "") {
-		fail(fmt.Errorf("-state-dir and -run-id go together"))
-	}
-	if *resume && *out == "" && *stateDir == "" {
-		fail(fmt.Errorf("-resume requires -out or -state-dir"))
+	if *resume && *out == "" {
+		fail(fmt.Errorf("-resume requires -out"))
 	}
 
 	// Every shard lease carries this run's trace ID, so the coordinator's
@@ -112,19 +102,8 @@ func main() {
 		MinWorkers:  *minWorkers,
 		Shards:      *shards,
 		MaxAttempts: *maxAttempts,
-		Checkpoint:  *out,
-		Resume:      *resume,
 		Metrics:     reg,
 		Trace:       trace,
-	}
-	if *stateDir != "" {
-		ps, err := persist.Open(*stateDir)
-		if err != nil {
-			fail(fmt.Errorf("opening state dir: %w", err))
-		}
-		defer ps.Close()
-		cfg.Persist = ps
-		cfg.RunID = *runID
 	}
 	logf := func(string, ...any) {}
 	if !*quiet {
@@ -132,6 +111,23 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 		cfg.Logf = logf
+	}
+	var done []campaign.Cell
+	var cp *campaign.CheckpointFile
+	if *out != "" {
+		ccfg, _, err := cfg.Spec.Resolve()
+		if err != nil {
+			fail(err)
+		}
+		if cp, err = campaign.OpenCheckpoint(*out, ccfg, *resume); err != nil {
+			fail(err)
+		}
+		defer cp.Close()
+		if cp.Prior != nil {
+			done = cp.Prior.Cells
+			logf("jedcoord: resuming %s: %d cells already done", *out, len(done))
+		}
+		cfg.OnCell = cp.WriteCell
 	}
 
 	// Interrupt cancels the run; the fleet drops its queue, and -out keeps
@@ -162,7 +158,10 @@ func main() {
 		fail(err)
 	}
 	logf("jedcoord: trace %s", trace.ID())
-	res, err := c.Run(ctx)
+	res, err := c.Run(ctx, done)
+	if err == nil && cp != nil {
+		err = cp.Sync()
+	}
 	if *verbose {
 		for _, sp := range trace.Spans() {
 			fmt.Fprintf(os.Stderr, "jedcoord: span %-28s %12v\n", sp.Name, sp.Duration.Round(time.Microsecond))

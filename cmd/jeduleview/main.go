@@ -8,74 +8,43 @@
 // Usage:
 //
 //	jeduleview -in schedule.jed [-addr :8080] [-width 1200] [-height 800]
-//	jeduleview -serve-many [-in schedule.jed] [more.jed other.csv ...]
 //
 // Then open http://localhost:8080/ in a browser. While a scheduling
 // algorithm is being developed, rerun the simulation and hit "reread" to
-// see the new schedule immediately.
-//
-// With -serve-many the process serves the multi-session REST API instead of
-// the single-schedule viewer: every file named by -in or as a positional
-// argument becomes a pre-registered session, and further sessions can be
-// created over HTTP (upload or server-side scheduling).
+// see the new schedule immediately. To serve many schedules as sessions of
+// the REST API, use jedserve -dir.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"repro/internal/api"
 	_ "repro/internal/sched/all"
 	"repro/internal/view"
 )
 
 func main() {
 	var (
-		in            = flag.String("in", "", "Jedule XML schedule file (required unless -serve-many)")
+		in            = flag.String("in", "", "Jedule XML schedule file (required)")
 		addr          = flag.String("addr", ":8080", "HTTP listen address")
 		width         = flag.Int("width", 1200, "view width in pixels")
 		height        = flag.Int("height", 800, "view height in pixels")
-		serveMany     = flag.Bool("serve-many", false, "serve the multi-session REST API instead of the single-file viewer")
-		sessionTTL    = flag.Duration("session-ttl", 0, "with -serve-many: expire sessions idle this long (0 = never)")
 		renderWorkers = flag.Int("render-workers", 0, "goroutines per rasterization (0 = GOMAXPROCS, 1 = serial)")
-		renderCacheMB = flag.Int("render-cache-mb", 64, "with -serve-many: render-result cache size in MiB (0 = off)")
-		lod           = flag.Bool("lod", false, "level-of-detail rendering: aggregate sub-pixel tasks into density bands (serve-many default; lod= query overrides)")
+		lod           = flag.Bool("lod", false, "level-of-detail rendering: aggregate sub-pixel tasks into density bands (lod= query overrides)")
 	)
 	flag.Parse()
-	if err := run(*in, *addr, *width, *height, *serveMany, *sessionTTL, *renderWorkers, *renderCacheMB, *lod, flag.Args()); err != nil {
+	if *in == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(*in, *addr, *width, *height, *renderWorkers, *lod); err != nil {
 		fmt.Fprintln(os.Stderr, "jeduleview:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, addr string, width, height int, serveMany bool, sessionTTL time.Duration, renderWorkers, renderCacheMB int, lod bool, extra []string) error {
-	if serveMany {
-		store := api.NewStore()
-		files := extra
-		if in != "" {
-			files = append([]string{in}, extra...)
-		}
-		for _, path := range files {
-			sess, err := api.RegisterFile(store, path)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("jeduleview: session %s <- %s\n", sess.ID, path)
-		}
-		store.SetTTL(sessionTTL)
-		srv := api.NewServer(store)
-		srv.SetRenderWorkers(renderWorkers)
-		srv.SetRenderCacheBytes(int64(renderCacheMB) << 20)
-		srv.SetLOD(lod)
-		fmt.Printf("jeduleview: serving %d sessions on %s (API at /api/v1/)\n", store.Len(), addr)
-		return srv.ListenAndServe(addr)
-	}
-	if in == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
+func run(in, addr string, width, height, renderWorkers int, lod bool) error {
 	vp, err := view.Open(in, width, height)
 	if err != nil {
 		return err

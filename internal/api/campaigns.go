@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/persist"
 )
 
 // Campaign surface: POST /api/v1/campaigns runs one campaign as a job on
@@ -137,48 +139,161 @@ func surface(r *http.Request) string {
 }
 
 // newCampaign builds the coordinator of one campaign request and the job
-// body that runs it. The job journals the run under its own ID, so a
-// restarted server resumes it (resume=true) from the cells the run
-// journal holds.
+// body that runs it. With persistence on, the job journals the run under
+// its own ID, so a restarted server resumes it (resume=true) from the cells
+// the run journal holds.
 func (s *Server) newCampaign(req campaignRequest, trace *obs.Trace, resume bool) (*coord.Coordinator, jobs.Fn, error) {
-	c, err := coord.New(coord.Config{
+	// The job handle does not exist until after submission; the job body
+	// sets it before Run, whose goroutine is the only caller of the
+	// observers below.
+	var job *jobs.Job
+	cfg := coord.Config{
 		Fleet:       s.campaignFleet(),
 		MinWorkers:  s.fleetMin,
 		Spec:        req.CampaignSpec,
 		Shards:      req.Shards,
 		MaxAttempts: req.MaxAttempts,
-		Resume:      resume,
 		Metrics:     s.metrics,
 		// The request's trace (minted or adopted by the obs middleware)
 		// rides every shard lease, so one ID submitted on POST shows up in
 		// each worker's log.
 		Trace: trace,
-	})
+	}
+	if s.persist != nil {
+		cfg.OnCell = func(cell campaign.Cell) error {
+			s.journalCell(job.ID(), cell)
+			return nil
+		}
+	}
+	var c *coord.Coordinator
+	cfg.OnShard = func(sp coord.ShardProgress) {
+		// Progress counts every cell the run holds, resumed ones too.
+		if n := c.Progress().CellsDone - job.Status().Done; n > 0 {
+			job.Advance(n)
+		}
+		// Shard events are keyed by the campaign job, so one SSE filter
+		// (?campaign=j3) follows the whole fan-out.
+		s.bus.Publish(events.TopicShard, sp.State, job.ID(), shardEvent{Campaign: job.ID(), ShardProgress: sp})
+	}
+	c, err := coord.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	header := c.Header()
 	return c, func(ctx context.Context, j *jobs.Job) (any, error) {
-		// The observers are installed here — before Run, on the job's own
-		// goroutine — because the job handle does not exist at Submit time.
-		c.SetOnShard(func(sp coord.ShardProgress) {
-			// Progress counts every cell the run holds, resumed ones too.
-			if n := c.Progress().CellsDone - j.Status().Done; n > 0 {
-				j.Advance(n)
-			}
-			// Shard events are keyed by the campaign job, so one SSE filter
-			// (?campaign=j3) follows the whole fan-out.
-			s.bus.Publish(events.TopicShard, sp.State, j.ID(), shardEvent{Campaign: j.ID(), ShardProgress: sp})
-		})
+		job = j
+		var done []campaign.Cell
 		if s.persist != nil {
-			c.SetPersist(s.persist, j.ID())
+			var err error
+			if done, err = s.openRunJournal(j.ID(), c.Header(), resume); err != nil {
+				return nil, err
+			}
 		}
-		res, err := c.Run(ctx)
+		res, err := c.Run(ctx, done)
 		if err != nil {
 			return nil, err
 		}
-		return &jobs.CampaignOutcome{Header: header, Result: res}, nil
+		return &jobs.CampaignOutcome{Header: c.Header(), Result: res}, nil
 	}, nil
+}
+
+// runNS is the persistence namespace of the campaign run journals. Under
+// each campaign job's ID it holds the run's identity header
+// ("<job>/header", written durably) and one best-effort record per merged
+// cell ("<job>/c/%08d"), from which a restarted server resumes the run
+// without computing those cells again. A job drops its journal when it
+// reaches a terminal state.
+const runNS = "runs"
+
+// openRunJournal prepares the run journal of campaign job id and returns
+// the cells to resume from. With resume and a journaled header, the header
+// must be h and the journaled cells come back; otherwise any stale record
+// under the ID is dropped and h is written, so the next resume can verify
+// that the journal belongs to this campaign.
+func (s *Server) openRunJournal(id string, h campaign.Header, resume bool) ([]campaign.Cell, error) {
+	ps := s.persist
+	if resume {
+		raw, ok, err := ps.Get(runNS, id+"/header")
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			var got campaign.Header
+			if err := json.Unmarshal(raw, &got); err != nil {
+				return nil, fmt.Errorf("run %s: corrupt journaled header: %w", id, err)
+			}
+			if err := got.Equal(h); err != nil {
+				return nil, fmt.Errorf("run %s: %w", id, err)
+			}
+			records, err := ps.Load(runNS)
+			if err != nil {
+				return nil, err
+			}
+			var cells []campaign.Cell
+			for k, v := range records {
+				var cell campaign.Cell
+				if !strings.HasPrefix(k, id+"/c/") || json.Unmarshal(v, &cell) != nil {
+					continue // a corrupt cell just gets recomputed
+				}
+				cells = append(cells, cell)
+			}
+			return cells, nil
+		}
+	}
+	if err := ps.DeletePrefix(runNS, id+"/"); err != nil {
+		return nil, err
+	}
+	b, err := json.Marshal(h)
+	if err != nil {
+		return nil, err
+	}
+	return nil, ps.PutDurable(runNS, id+"/header", b)
+}
+
+// journalCell records one merged cell of job id's run. Best-effort: a lost
+// record only means computing the cell again after a crash, never a wrong
+// result.
+func (s *Server) journalCell(id string, cell campaign.Cell) {
+	if b, err := json.Marshal(cell); err == nil {
+		s.persist.Put(runNS, fmt.Sprintf("%s/c/%08d", id, cell.Index), b) //nolint:errcheck // best-effort, as above
+	}
+}
+
+// dropRunJournals drops the run journal of every job that will not run
+// again: a job the engine does not hold, or one that is terminal. Called
+// after Recover, it catches the journals of jobs restored as terminal or
+// failed as interrupted, whose drop a crash cut off.
+func (s *Server) dropRunJournals() error {
+	records, err := s.persist.Load(runNS)
+	if err != nil {
+		return err
+	}
+	ended := map[string]bool{}
+	for k := range records {
+		id, _, _ := strings.Cut(k, "/")
+		if j, ok := s.jobs.Get(id); !ok || j.Status().State.Terminal() {
+			ended[id] = true
+		}
+	}
+	for id := range ended {
+		if err := s.persist.DeletePrefix(runNS, id+"/"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// jobJournal is the engine's journal: the job records, plus the drop of a
+// job's run journal once the job is terminal — after its terminal record is
+// durable, so a crash in between leaves a journal for dropRunJournals, never
+// a job resumed without one.
+type jobJournal struct {
+	*jobs.Persister
+	ps persist.Store
+}
+
+func (jj jobJournal) JobFinished(j *jobs.Job) {
+	jj.Persister.JobFinished(j)
+	jj.ps.DeletePrefix(runNS, j.ID()+"/") //nolint:errcheck // dropRunJournals retries on the next start
 }
 
 // resumeCampaign is the jobs.Resumer of a restarted server: it rebuilds an

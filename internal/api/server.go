@@ -171,8 +171,9 @@ func (s *Server) campaignFleet() *fleet.Manager {
 // EnablePersistence journals the job engine into the store and replays the
 // records of the previous process: terminal jobs come back with their
 // results intact, and interrupted campaigns are re-submitted under their
-// own IDs, resuming from the run journal their coordinator keeps under that
-// ID — the store's only cell journal. Call once, after SetFleet, before
+// own IDs, resuming from the run journal each campaign keeps under that ID
+// (runNS) — the store's only cell journal. The run journals of jobs that
+// will not run again are dropped. Call once, after SetFleet, before
 // serving and before any job is submitted.
 //
 // A state directory written by an older server also holds a second
@@ -184,7 +185,7 @@ func (s *Server) campaignFleet() *fleet.Manager {
 func (s *Server) EnablePersistence(ps persist.Store) error {
 	s.persist = ps
 	s.jobsPersist = jobs.NewPersister(ps, "jobs")
-	s.jobs.SetJournal(s.jobsPersist)
+	s.jobs.SetJournal(jobJournal{s.jobsPersist, ps})
 	if err := s.jobsPersist.Adopt("cjobs"); err != nil {
 		return err
 	}
@@ -193,6 +194,9 @@ func (s *Server) EnablePersistence(ps persist.Store) error {
 	}
 	var err error
 	if s.recovered, err = s.jobsPersist.Recover(s.jobs, s.resumeCampaign); err != nil {
+		return err
+	}
+	if err := s.dropRunJournals(); err != nil {
 		return err
 	}
 	s.registerPersistMetrics()
@@ -804,8 +808,7 @@ func (s *Server) meta(w http.ResponseWriter, r *http.Request) {
 }
 
 // index is the minimal HTML landing page of a standalone API server
-// (jedserve, jeduleview -serve-many): one row per session with links into
-// the REST surface.
+// (jedserve): one row per session with links into the REST surface.
 func (s *Server) index(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, "<!DOCTYPE html>\n<html><head><title>jedule sessions</title></head><body>\n")

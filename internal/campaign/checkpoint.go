@@ -11,8 +11,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"sort"
 	"sync"
 
@@ -108,9 +111,9 @@ type checkpointLine struct {
 // concurrent use; RunOptions.OnCell already serializes, but the REST job
 // engine shares writers across retries.
 type CheckpointWriter struct {
-	mu   sync.Mutex
-	enc  *json.Encoder
-	sync func() error // w's fsync, when it has one (an *os.File does)
+	mu  sync.Mutex
+	w   io.Writer // fsynced by Sync when it can be (an *os.File can)
+	enc *json.Encoder
 }
 
 // NewCheckpointWriter starts a fresh checkpoint on w by writing the header
@@ -118,17 +121,13 @@ type CheckpointWriter struct {
 // storage before any cell may follow it: a crash must never leave cells
 // whose identifying header only ever existed in the page cache.
 func NewCheckpointWriter(w io.Writer, cfg Config) (*CheckpointWriter, error) {
-	cw := ResumeCheckpointWriter(w)
+	cw := &CheckpointWriter{w: w, enc: json.NewEncoder(w)}
 	h := NewHeader(cfg)
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
 	if err := cw.enc.Encode(checkpointLine{Header: &h}); err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint header: %w", err)
 	}
-	if cw.sync != nil {
-		if err := cw.sync(); err != nil {
-			return nil, fmt.Errorf("campaign: checkpoint header sync: %w", err)
-		}
+	if err := cw.Sync(); err != nil {
+		return nil, fmt.Errorf("campaign: checkpoint header sync: %w", err)
 	}
 	return cw, nil
 }
@@ -136,11 +135,7 @@ func NewCheckpointWriter(w io.Writer, cfg Config) (*CheckpointWriter, error) {
 // ResumeCheckpointWriter continues an existing checkpoint (opened for
 // append): no new header is written.
 func ResumeCheckpointWriter(w io.Writer) *CheckpointWriter {
-	cw := &CheckpointWriter{enc: json.NewEncoder(w)}
-	if s, ok := w.(interface{ Sync() error }); ok {
-		cw.sync = s.Sync
-	}
-	return cw
+	return &CheckpointWriter{w: w, enc: json.NewEncoder(w)}
 }
 
 // WriteCell appends one completed cell.
@@ -156,10 +151,10 @@ func (cw *CheckpointWriter) WriteCell(c Cell) error {
 func (cw *CheckpointWriter) Sync() error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if cw.sync == nil {
-		return nil
+	if s, ok := cw.w.(interface{ Sync() error }); ok {
+		return s.Sync()
 	}
-	return cw.sync()
+	return nil
 }
 
 // Checkpoint is a loaded JSONL file: the campaign identity plus every
@@ -244,6 +239,73 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	sort.SliceStable(cp.Cells, func(i, j int) bool { return cp.Cells[i].Index < cp.Cells[j].Index })
 	return cp, nil
 }
+
+// LoadCheckpointFile loads the checkpoint file at path.
+func LoadCheckpointFile(path string) (*Checkpoint, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	cp, err := LoadCheckpoint(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return cp, nil
+}
+
+// CheckpointFile is a checkpoint file open for appending cells.
+type CheckpointFile struct {
+	*CheckpointWriter
+	f *os.File
+	// Prior is what a resumed file already held — the cells the run skips.
+	// It is nil when the file was started fresh.
+	Prior *Checkpoint
+}
+
+// OpenCheckpoint opens the checkpoint file at path for a run of cfg. It
+// starts the file fresh, with cfg's header, unless resume is set and the
+// file exists; then the file is loaded, refused unless its header is cfg's,
+// cut after its last complete record, and reopened for appending.
+func OpenCheckpoint(path string, cfg Config, resume bool) (*CheckpointFile, error) {
+	if resume {
+		cp, err := LoadCheckpointFile(path)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			// Nothing to resume: fall through to a fresh checkpoint.
+		case err != nil:
+			return nil, err
+		default:
+			if err := cp.Header.Matches(cfg); err != nil {
+				return nil, fmt.Errorf("%s: %w (rerun without -resume to start over)", path, err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return nil, err
+			}
+			// Cut a torn final record before appending, or the first new
+			// record would be concatenated onto it and lost with it.
+			if err := f.Truncate(cp.ValidSize); err != nil {
+				f.Close()
+				return nil, err
+			}
+			return &CheckpointFile{CheckpointWriter: ResumeCheckpointWriter(f), f: f, Prior: cp}, nil
+		}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	cw, err := NewCheckpointWriter(f, cfg)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &CheckpointFile{CheckpointWriter: cw, f: f}, nil
+}
+
+// Close closes the file; Sync it first to make the run's cells durable.
+func (cf *CheckpointFile) Close() error { return cf.f.Close() }
 
 // Keys returns the persisted cell keys — the RunOptions.Skip set of a
 // resumed run.

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -247,5 +249,80 @@ func TestCheckpointWriterSyncsHeader(t *testing.T) {
 	}
 	if err := cw2.Sync(); err != nil {
 		t.Fatalf("Sync on an unsyncable destination = %v, want nil", err)
+	}
+}
+
+// TestOpenCheckpoint drives the one resume sequence both CLIs share: every
+// opened file, once the run's missing cells are appended, must load as the
+// full factorial; a foreign header must be refused with the file untouched.
+func TestOpenCheckpoint(t *testing.T) {
+	cfg := smallConfig()
+	full, buf := checkpointRun(t, cfg, RunOptions{})
+	other := cfg
+	other.Seed++
+	_, foreign := checkpointRun(t, other, RunOptions{})
+
+	for _, tc := range []struct {
+		name      string
+		file      []byte // nil: no file at the path
+		resume    bool
+		wantPrior int // cells the open reports as already done; -1 = fresh
+		wantErr   bool
+	}{
+		{name: "fresh", file: buf.Bytes(), resume: false, wantPrior: -1},
+		{name: "missing file on resume", file: nil, resume: true, wantPrior: -1},
+		{name: "torn tail cut", file: buf.Bytes()[:buf.Len()-30], resume: true, wantPrior: len(full.Cells) - 1},
+		{name: "header mismatch", file: foreign.Bytes(), resume: true, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cp.jsonl")
+			if tc.file != nil {
+				if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cp, err := OpenCheckpoint(path, cfg, tc.resume)
+			if tc.wantErr {
+				if err == nil {
+					cp.Close()
+					t.Fatal("open succeeded")
+				}
+				if raw, _ := os.ReadFile(path); !bytes.Equal(raw, tc.file) {
+					t.Fatal("refused file was modified")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := RunOptions{OnCell: cp.WriteCell}
+			prior := -1
+			if cp.Prior != nil {
+				prior = len(cp.Prior.Cells)
+				opt.Skip = cp.Prior.Keys()
+			}
+			if prior != tc.wantPrior {
+				t.Fatalf("prior cells = %d, want %d", prior, tc.wantPrior)
+			}
+			if _, err := RunContext(context.Background(), cfg, opt); err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.Close(); err != nil {
+				t.Fatal(err)
+			}
+			back, err := LoadCheckpointFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := back.Result().Complete(back.Header.Cells); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back.Result(), full) {
+				t.Fatal("checkpoint differs from the uninterrupted run")
+			}
+		})
 	}
 }

@@ -11,21 +11,20 @@
 // held past its lease is stolen back, bounded by a per-shard attempt
 // budget. Every completion is verified against the campaign identity header
 // before it is merged, so no worker can smuggle cells of a different
-// campaign into the result. Merged cells stream into a local JSONL
-// checkpoint (the cmd/campaign format) and, optionally, a run journal in a
-// persistence store, so a torn coordinator resumes without re-running
-// finished shards.
+// campaign into the result.
+//
+// A coordinator keeps no state of its own: Run takes the cells a caller
+// already holds and skips the shards they cover, and hands every newly
+// merged cell to Config.OnCell. Where cells are kept between runs is the
+// caller's business — the CLIs keep a JSONL checkpoint
+// (campaign.OpenCheckpoint), the REST surface a run journal in its
+// persistence store.
 package coord
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,11 +32,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/persist"
 )
-
-// runNS is the persistence namespace coordinated runs journal into.
-const runNS = "runs"
 
 // Config describes one coordinated campaign.
 type Config struct {
@@ -58,29 +53,14 @@ type Config struct {
 	// MaxAttempts bounds how often one shard may be leased before the run
 	// fails (0 means 3).
 	MaxAttempts int
-	// Checkpoint is the path of the local JSONL checkpoint the merged
-	// cells stream into ("" disables). The file uses the cmd/campaign
-	// format, so `campaign -merge` reads it directly.
-	Checkpoint string
-	// Resume loads an existing checkpoint first and skips the shards whose
-	// cells are all persisted; a torn final record is cut, exactly like
-	// `campaign -resume`.
-	Resume bool
-	// Persist, when set, journals run progress (identity header plus every
-	// recorded cell) into the shared persistence store under RunID — the
-	// store-backed sibling of Checkpoint, which makes a coordinator's
-	// checkpoint shareable across processes pointed at one state directory.
-	// With Resume, the persisted cells preload exactly like a file resume.
-	Persist persist.Store
-	// RunID names this run in the persistence store. Required with Persist;
-	// the REST surface uses the campaign job's ID.
-	RunID string
-	// OnCell, when set, observes every newly recorded cell (serialized on
-	// the coordinator goroutine) — the aggregate-progress hook.
-	OnCell func(campaign.Cell)
+	// OnCell, when set, receives every newly merged cell (serialized on
+	// Run's goroutine, never a cell Run was given) — where a caller keeps
+	// the run's cells for a later resume. An error aborts the run.
+	OnCell func(campaign.Cell) error
 	// OnShard, when set, observes every shard the coordinator marks done
-	// (completed by a worker, or already covered by a resumed checkpoint)
-	// with the post-transition snapshot — the event-bus hook.
+	// (completed by a worker, or already covered by the cells Run was
+	// given) with the post-transition snapshot — the event-bus hook. Like
+	// OnCell it runs on Run's goroutine.
 	OnShard func(ShardProgress)
 	// Logf, when set, receives human-readable progress lines.
 	Logf func(format string, args ...any)
@@ -99,7 +79,6 @@ type ShardProgress struct {
 	Shard    int    `json:"shard"` // 1-based k of k/n
 	State    string `json:"state"` // pending | running | done
 	Worker   string `json:"worker,omitempty"`
-	Job      string `json:"job,omitempty"`
 	Attempts int    `json:"attempts"`
 }
 
@@ -151,9 +130,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Spec.Shard != "" {
 		return nil, fmt.Errorf("coord: spec must not set shard %q (sharding is the coordinator's job)", cfg.Spec.Shard)
 	}
-	if cfg.Persist != nil && cfg.RunID == "" {
-		return nil, fmt.Errorf("coord: persistence needs a run ID")
-	}
 	ccfg, _, err := cfg.Spec.Resolve()
 	if err != nil {
 		return nil, err
@@ -199,26 +175,6 @@ func New(cfg Config) (*Coordinator, error) {
 // Header returns the campaign identity every completed shard is checked
 // against.
 func (c *Coordinator) Header() campaign.Header { return c.header }
-
-// SetOnShard installs (or replaces) the per-shard transition observer. It
-// must be called before Run — the REST surface uses it to wire job progress
-// and shard events to a coordinator whose job handle does not exist until
-// after submission.
-func (c *Coordinator) SetOnShard(fn func(ShardProgress)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.OnShard = fn
-}
-
-// SetPersist installs (or replaces) the run journal. Like SetOnShard it
-// must be called before Run — the REST surface names the run after the
-// campaign job, whose ID does not exist until after submission.
-func (c *Coordinator) SetPersist(ps persist.Store, runID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.Persist = ps
-	c.cfg.RunID = runID
-}
 
 // Cells returns the size of the full factorial.
 func (c *Coordinator) Cells() int { return len(c.specs) }
@@ -266,14 +222,24 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // Run executes the coordinated campaign and returns the merged full
-// factorial. It may be called once.
-func (c *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
+// factorial. done holds the cells the caller already has (a resumed
+// checkpoint or run journal): they join the result as they are, and only
+// the shards they do not fully cover are queued. It may be called once.
+func (c *Coordinator) Run(ctx context.Context, done []campaign.Cell) (*campaign.Result, error) {
 	c.mu.Lock()
 	if c.started {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("coord: Run called twice")
 	}
 	c.started = true
+	for _, cell := range done {
+		if cell.Index < 0 || cell.Index >= len(c.specs) {
+			c.mu.Unlock()
+			return nil, fmt.Errorf("coord: resumed cell %d outside the %d-cell factorial", cell.Index, len(c.specs))
+		}
+		c.cells[cell.Index] = cell
+	}
+	c.cellsDone = len(c.cells)
 	c.mu.Unlock()
 	// The cell map exists only to assemble the result; release it when the
 	// run ends so a tracker holding terminal coordinators (the REST
@@ -284,29 +250,8 @@ func (c *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 		c.mu.Unlock()
 	}()
 
-	cw, closeCP, err := c.openCheckpoint()
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	journaled, err := c.openRunJournal()
-	if err != nil {
-		return nil, err
-	}
-	if cw != nil {
-		// Cells only the journal held must reach the checkpoint too, or a
-		// resumed checkpoint stays short of the full factorial and
-		// `campaign -merge` rejects it.
-		sort.Slice(journaled, func(i, j int) bool { return journaled[i].Index < journaled[j].Index })
-		for _, cell := range journaled {
-			if err := cw.writer.WriteCell(cell); err != nil {
-				return nil, fmt.Errorf("coord: checkpoint: %w", err)
-			}
-		}
-	}
-
-	// Shards whose cells all came out of the resumed checkpoint are done
-	// before anything is dispatched.
+	// Shards whose cells the caller already holds are done before anything
+	// is dispatched.
 	var pending []int
 	for k := 1; k <= c.shards; k++ {
 		if c.shardCovered(k) {
@@ -316,94 +261,15 @@ func (c *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 		pending = append(pending, k)
 	}
 	if len(pending) < c.shards {
-		c.logf("coord: %d of %d shards already complete in checkpoint", c.shards-len(pending), c.shards)
+		c.logf("coord: %d of %d shards already complete", c.shards-len(pending), c.shards)
 	}
 
 	if len(pending) > 0 {
-		if err := c.dispatch(ctx, pending, cw); err != nil {
+		if err := c.dispatch(ctx, pending); err != nil {
 			return nil, err
 		}
 	}
-	if cw != nil {
-		if err := cw.sync(); err != nil {
-			return nil, err
-		}
-	}
-	res, err := c.result()
-	if err == nil && c.cfg.Persist != nil {
-		// The run is merged and complete; its journal has served its purpose.
-		// Best-effort — a leftover journal only costs a header check next run.
-		if derr := c.cfg.Persist.DeletePrefix(runNS, c.cfg.RunID+"/"); derr != nil {
-			c.logf("coord: dropping run journal: %v", derr)
-		}
-	}
-	return res, err
-}
-
-// runCellKey zero-pads the index so lexical key order is numeric cell order.
-func runCellKey(runID string, index int) string {
-	return fmt.Sprintf("%s/c/%08d", runID, index)
-}
-
-// openRunJournal prepares the store-backed run journal per Config. With
-// Resume and a persisted header that matches this campaign, the journaled
-// cells preload into the cell map exactly like a file resume; otherwise any
-// stale record under this run ID is dropped and a fresh identity header is
-// written durably, so the next resume can verify the journal belongs here.
-// It returns the preloaded cells the cell map did not already hold.
-func (c *Coordinator) openRunJournal() ([]campaign.Cell, error) {
-	ps := c.cfg.Persist
-	if ps == nil {
-		return nil, nil
-	}
-	id := c.cfg.RunID
-	if c.cfg.Resume {
-		raw, ok, err := ps.Get(runNS, id+"/header")
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			var h campaign.Header
-			if err := json.Unmarshal(raw, &h); err != nil {
-				return nil, fmt.Errorf("coord: run %s: corrupt persisted header: %w", id, err)
-			}
-			if err := h.Matches(c.ccfg); err != nil {
-				return nil, fmt.Errorf("coord: run %s: %w (use a fresh run ID to start over)", id, err)
-			}
-			all, err := ps.Load(runNS)
-			if err != nil {
-				return nil, err
-			}
-			prefix := id + "/c/"
-			var fresh []campaign.Cell
-			c.mu.Lock()
-			for k, v := range all {
-				if !strings.HasPrefix(k, prefix) {
-					continue
-				}
-				var cell campaign.Cell
-				if err := json.Unmarshal(v, &cell); err != nil {
-					continue // a corrupt cell just gets recomputed
-				}
-				if _, dup := c.cells[cell.Index]; !dup {
-					c.cells[cell.Index] = cell
-					c.cellsDone++
-					fresh = append(fresh, cell)
-				}
-			}
-			c.mu.Unlock()
-			c.logf("coord: resuming run %s from store: %d journaled cells", id, len(fresh))
-			return fresh, nil
-		}
-	}
-	if err := ps.DeletePrefix(runNS, id+"/"); err != nil {
-		return nil, err
-	}
-	b, err := json.Marshal(c.header)
-	if err != nil {
-		return nil, err
-	}
-	return nil, ps.PutDurable(runNS, id+"/header", b)
+	return c.result()
 }
 
 // dispatch runs the pending shards through the elastic fleet: wait for
@@ -411,7 +277,7 @@ func (c *Coordinator) openRunJournal() ([]campaign.Cell, error) {
 // completions into the cell map as they arrive. Lease expiry, stealing, and
 // retirement all happen inside the manager; from here a dead worker is just
 // a shard that comes back from someone else.
-func (c *Coordinator) dispatch(ctx context.Context, pending []int, cw *checkpointFile) error {
+func (c *Coordinator) dispatch(ctx context.Context, pending []int) error {
 	m := c.cfg.Fleet
 	if n := c.cfg.MinWorkers; m.ActiveWorkers() < n {
 		c.logf("coord: waiting for %d fleet workers (have %d)", n, m.ActiveWorkers())
@@ -466,7 +332,7 @@ func (c *Coordinator) dispatch(ctx context.Context, pending []int, cw *checkpoin
 			if d.Err != nil {
 				return d.Err
 			}
-			if err := c.recordCells(d.K, d.Cells, cw); err != nil {
+			if err := c.recordCells(d.K, d.Cells); err != nil {
 				return err
 			}
 			c.mDispatched.Inc()
@@ -498,9 +364,9 @@ func (c *Coordinator) shardCovered(k int) bool {
 	return true
 }
 
-// recordCells folds a completed shard into the cell map, appending the cells
-// not already persisted to the checkpoint and firing OnCell for each.
-func (c *Coordinator) recordCells(k int, cells []campaign.Cell, cw *checkpointFile) error {
+// recordCells folds a completed shard into the cell map and hands the cells
+// it did not already hold to OnCell.
+func (c *Coordinator) recordCells(k int, cells []campaign.Cell) error {
 	c.mu.Lock()
 	var fresh []campaign.Cell
 	for _, cell := range cells {
@@ -512,23 +378,11 @@ func (c *Coordinator) recordCells(k int, cells []campaign.Cell, cw *checkpointFi
 		fresh = append(fresh, cell)
 	}
 	c.mu.Unlock()
-	for _, cell := range fresh {
-		if cw != nil {
-			if err := cw.writer.WriteCell(cell); err != nil {
-				return fmt.Errorf("coord: checkpoint: %w", err)
+	if c.cfg.OnCell != nil {
+		for _, cell := range fresh {
+			if err := c.cfg.OnCell(cell); err != nil {
+				return fmt.Errorf("coord: cell %s: %w", cell.Key(), err)
 			}
-		}
-		if ps := c.cfg.Persist; ps != nil {
-			// Best-effort: a lost journal record only means recomputing the
-			// cell after a crash, never a wrong result.
-			if b, err := json.Marshal(cell); err == nil {
-				if err := ps.Put(runNS, runCellKey(c.cfg.RunID, cell.Index), b); err != nil {
-					c.logf("coord: run journal: %v", err)
-				}
-			}
-		}
-		if c.cfg.OnCell != nil {
-			c.cfg.OnCell(cell)
 		}
 	}
 	c.logf("coord: shard %d/%d complete (%d cells, %d new)", k, c.shards, len(cells), len(fresh))
@@ -541,10 +395,9 @@ func (c *Coordinator) setShardState(k int, mut func(*ShardProgress)) {
 	c.mu.Lock()
 	mut(&c.shardStat[k-1])
 	snap := c.shardStat[k-1]
-	fn := c.cfg.OnShard
 	c.mu.Unlock()
-	if fn != nil {
-		fn(snap)
+	if c.cfg.OnShard != nil {
+		c.cfg.OnShard(snap)
 	}
 }
 
@@ -565,66 +418,4 @@ func (c *Coordinator) result() (*campaign.Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// checkpointFile bundles the JSONL writer with its backing file.
-type checkpointFile struct {
-	f      *os.File
-	writer *campaign.CheckpointWriter
-}
-
-func (cf *checkpointFile) sync() error { return cf.writer.Sync() }
-
-// openCheckpoint prepares the local checkpoint per Config: fresh, resumed
-// (with the torn tail cut and the persisted cells preloaded), or disabled.
-// The returned close function is safe to call on every path.
-func (c *Coordinator) openCheckpoint() (*checkpointFile, func(), error) {
-	if c.cfg.Checkpoint == "" {
-		return nil, func() {}, nil
-	}
-	if c.cfg.Resume {
-		f, err := os.Open(c.cfg.Checkpoint)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// Nothing to resume: fall through to a fresh checkpoint.
-		case err != nil:
-			return nil, nil, err
-		default:
-			cp, err := campaign.LoadCheckpoint(f)
-			f.Close()
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", c.cfg.Checkpoint, err)
-			}
-			if err := cp.Header.Matches(c.ccfg); err != nil {
-				return nil, nil, fmt.Errorf("%s: %w (rerun without resume to start over)", c.cfg.Checkpoint, err)
-			}
-			wf, err := os.OpenFile(c.cfg.Checkpoint, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, nil, err
-			}
-			// Cut a torn final record before appending, or the first new
-			// record would be concatenated onto it and lost with it.
-			if err := wf.Truncate(cp.ValidSize); err != nil {
-				wf.Close()
-				return nil, nil, err
-			}
-			for _, cell := range cp.Cells {
-				c.cells[cell.Index] = cell
-			}
-			c.cellsDone = len(c.cells)
-			c.logf("coord: resuming %s: %d cells already done", c.cfg.Checkpoint, len(cp.Cells))
-			cf := &checkpointFile{f: wf, writer: campaign.ResumeCheckpointWriter(wf)}
-			return cf, func() { wf.Close() }, nil
-		}
-	}
-	f, err := os.Create(c.cfg.Checkpoint)
-	if err != nil {
-		return nil, nil, err
-	}
-	cw, err := campaign.NewCheckpointWriter(f, c.ccfg)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return &checkpointFile{f: f, writer: cw}, func() { f.Close() }, nil
 }

@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -149,12 +147,12 @@ func TestCoordinatedMatchesSingleProcess(t *testing.T) {
 		MinWorkers: 2,
 		Spec:       testSpec(),
 		Shards:     4,
-		OnCell:     func(campaign.Cell) { atomic.AddInt64(&cells, 1) },
+		OnCell:     func(campaign.Cell) error { atomic.AddInt64(&cells, 1); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
+	res, err := c.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +191,7 @@ func TestWorkerDownAtDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
+	res, err := c.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +229,7 @@ func TestWorkerDiesMidShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
+	res, err := c.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +258,7 @@ func TestAllWorkersDead(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, err := c.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.Run(ctx, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("run with no live workers = %v, want the context deadline", err)
 	}
 	if st := m.Stats(); st.WorkersRetired != 1 || st.LeasesExpired < 1 || st.ShardsCompleted != 0 {
@@ -279,7 +277,7 @@ func TestShardAttemptsExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Run(context.Background())
+	_, err = c.Run(context.Background(), nil)
 	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Fatalf("err = %v, want attempt exhaustion", err)
 	}
@@ -312,7 +310,7 @@ func TestHeaderGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Run(context.Background())
+	_, err = c.Run(context.Background(), nil)
 	if err == nil || !strings.Contains(err.Error(), "after 1 attempts") {
 		t.Fatalf("err = %v, want the shard failed after its one attempt", err)
 	}
@@ -335,88 +333,87 @@ func TestHeaderGuard(t *testing.T) {
 	}
 }
 
-// TestCheckpointAndResume tears a coordinator checkpoint mid-record and
-// resumes it: finished shards are not queued again, and the final summary
-// is byte-identical to the first run's.
+// TestCheckpointAndResume resumes a run from the cells a caller already
+// holds — what a resumed checkpoint gives Run: only the shards those cells
+// do not cover are leased, OnCell fires exactly for the cells that were
+// missing, and the summary is byte-identical to a fresh run's.
 func TestCheckpointAndResume(t *testing.T) {
 	m, url := fastFleet(t)
 	startFleetWorker(t, url, "w", nil)
-	path := filepath.Join(t.TempDir(), "coord.jsonl")
+	want := singleProcess(t, testSpec())
 
-	// First run writes the full checkpoint: one completion per shard.
-	c1, err := coord.New(coord.Config{Fleet: m, Spec: testSpec(), Shards: 4, Checkpoint: path})
+	// Four 1-cell shards; the caller holds every cell but the third, as if
+	// the third shard's record had been torn off its checkpoint.
+	var done []campaign.Cell
+	for _, cell := range want.Cells {
+		if cell.Index != 2 {
+			done = append(done, cell)
+		}
+	}
+	var fired []int
+	c, err := coord.New(coord.Config{
+		Fleet:  m,
+		Spec:   testSpec(),
+		Shards: 4,
+		OnCell: func(cell campaign.Cell) error {
+			fired = append(fired, cell.Index)
+			return nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := c1.Run(context.Background())
+	res, err := c.Run(context.Background(), done)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Stats().ShardsCompleted; n != 4 {
-		t.Fatalf("first run completed %d shards, want 4", n)
+	if got, wantS := summaryOf(t, res), summaryOf(t, want); got != wantS {
+		t.Fatalf("resumed summary differs:\n%s\nvs\n%s", got, wantS)
 	}
-
-	// The checkpoint is the cmd/campaign format: loadable, full campaign.
-	cp := loadCheckpoint(t, path)
-	if len(cp.Cells) != len(res1.Cells) {
-		t.Fatalf("checkpoint holds %d cells, want %d", len(cp.Cells), len(res1.Cells))
+	if st := m.Stats(); st.LeasesGranted != 1 || st.ShardsCompleted != 1 {
+		t.Fatalf("fleet stats = %+v, want the one uncovered shard leased and completed", st)
 	}
-
-	// Tear the tail mid-record, as a coordinator killed mid-write would.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if len(fired) != 1 || fired[0] != 2 {
+		t.Fatalf("OnCell fired for cells %v, want [2]", fired)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)-20], 0o644); err != nil {
-		t.Fatal(err)
+	p := c.Progress()
+	if p.ShardsDone != 4 || p.CellsDone != 4 {
+		t.Fatalf("progress = %+v", p)
 	}
-
-	// Resume: only the torn record's shard is queued again.
-	c2, err := coord.New(coord.Config{Fleet: m, Spec: testSpec(), Shards: 4, Checkpoint: path, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := c2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := summaryOf(t, res2), summaryOf(t, res1); got != want {
-		t.Fatalf("resumed summary differs:\n%s\nvs\n%s", got, want)
-	}
-	if n := m.Stats().ShardsCompleted; n != 5 {
-		t.Fatalf("resume brought completions to %d, want 5 (one shard run again)", n)
-	}
-	// The repaired checkpoint loads cleanly and is complete again.
-	cp = loadCheckpoint(t, path)
-	if err := cp.Result().Complete(cp.Header.Cells); err != nil {
-		t.Fatalf("repaired checkpoint incomplete: %v", err)
+	for _, sh := range p.Shard {
+		if covered := sh.Shard != 3; covered != (sh.Worker == "") {
+			t.Fatalf("shard %d worker = %q", sh.Shard, sh.Worker)
+		}
 	}
 
-	// Resuming with different campaign flags must refuse.
-	other := testSpec()
-	other.Seed = 999
-	c3, err := coord.New(coord.Config{Fleet: m, Spec: other, Shards: 4, Checkpoint: path, Resume: true})
+	// A cell outside the factorial is refused.
+	c2, err := coord.New(coord.Config{Fleet: m, Spec: testSpec(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c3.Run(context.Background()); err == nil {
-		t.Fatal("resume with mismatched config succeeded")
+	if _, err := c2.Run(context.Background(), []campaign.Cell{{Index: 99}}); err == nil {
+		t.Fatal("a resumed cell outside the factorial was accepted")
 	}
 }
 
-// loadCheckpoint reads a JSONL checkpoint the way `campaign -merge` does.
-func loadCheckpoint(t *testing.T, path string) *campaign.Checkpoint {
-	t.Helper()
-	f, err := os.Open(path)
+// TestOnCellErrorAbortsRun pins that a failed OnCell — a checkpoint write
+// that did not land — aborts the run with that error.
+func TestOnCellErrorAbortsRun(t *testing.T) {
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "w", nil)
+	errDisk := errors.New("disk full")
+	c, err := coord.New(coord.Config{
+		Fleet:  m,
+		Spec:   testSpec(),
+		Shards: 4,
+		OnCell: func(campaign.Cell) error { return errDisk },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	cp, err := campaign.LoadCheckpoint(f)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := c.Run(context.Background(), nil); !errors.Is(err, errDisk) {
+		t.Fatalf("err = %v, want the OnCell error", err)
 	}
-	return cp
 }
 
 // TestConfigValidation covers New's rejects plus the run-once guard.
@@ -447,10 +444,10 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background()); err != nil {
+	if _, err := c.Run(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background()); err == nil {
+	if _, err := c.Run(context.Background(), nil); err == nil {
 		t.Error("second Run accepted")
 	}
 }
@@ -467,12 +464,12 @@ func TestCancelMidRun(t *testing.T) {
 		Spec:   testSpec(),
 		Shards: 4,
 		// Strike as soon as the first shard lands, while others are pending.
-		OnCell: func(campaign.Cell) { cancel() },
+		OnCell: func(campaign.Cell) error { cancel(); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(ctx); err == nil {
+	if _, err := c.Run(ctx, nil); err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
 }

@@ -8,7 +8,6 @@ package coord_test
 import (
 	"context"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -72,18 +71,28 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	startFleetWorker(t, url, "w-a", nil)
 	startFleetWorker(t, url, "w-b", nil)
 
+	// The checkpoint is wired the way jedcoord -out wires it.
 	path := filepath.Join(t.TempDir(), "fleet.jsonl")
+	ccfg, _, err := testSpec().Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpf, err := campaign.OpenCheckpoint(path, ccfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cpf.Close()
 	c, err := coord.New(coord.Config{
 		Fleet:      m,
 		MinWorkers: 2,
 		Spec:       testSpec(),
 		Shards:     4,
-		Checkpoint: path,
+		OnCell:     cpf.WriteCell,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
+	res, err := c.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +101,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	}
 
 	// The checkpoint is complete and in the cmd/campaign format.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := campaign.LoadCheckpoint(f)
-	f.Close()
+	cp, err := campaign.LoadCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +149,7 @@ func TestFleetWorkStealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
+	res, err := c.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,19 +195,20 @@ func TestFleetWorkerJoinsMidRun(t *testing.T) {
 		MinWorkers: 1,
 		Spec:       wideSpec(),
 		Shards:     8,
-		OnCell: func(campaign.Cell) {
+		OnCell: func(campaign.Cell) error {
 			select {
 			case <-joined:
 			default:
 				close(joined)
 				startFleetWorker(t, url, "latecomer", nil)
 			}
+			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
+	res, err := c.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +247,7 @@ func TestFleetMinWorkersTimeout(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if _, err := c.Run(ctx); err == nil {
+	if _, err := c.Run(ctx, nil); err == nil {
 		t.Fatal("run with no workers succeeded")
 	}
 }

@@ -48,7 +48,8 @@ type ShardDone struct {
 	Trace string
 }
 
-// ShardState mirrors the coordinator's per-shard progress view.
+// ShardState is one shard's entry in the run's lease table; the
+// coordinator copies it into its coord.ShardProgress (K is Shard there).
 type ShardState struct {
 	K        int
 	State    string // pending | running | done

@@ -40,7 +40,7 @@ type jobRecord struct {
 
 // Persister journals an engine's jobs into namespace ns of a persist.Store,
 // one record per job ID. It journals no progress: a running job's work
-// keeps its own checkpoint (campaigns: the coordinator's run journal).
+// keeps its own checkpoint (campaigns: the API server's run journal).
 // Writes are best-effort — a persistence failure is counted, never
 // propagated into the job path.
 type Persister struct {
