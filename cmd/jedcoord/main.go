@@ -54,7 +54,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/coord"
 	"repro/internal/fleet"
-	"repro/internal/jobs"
 	"repro/internal/obs"
 	_ "repro/internal/sched/all"
 )
@@ -94,7 +93,7 @@ func main() {
 	trace := obs.NewTrace("")
 
 	cfg := coord.Config{
-		Spec: jobs.CampaignSpec{
+		Spec: campaign.Spec{
 			Algos:      cliutil.SplitList(*algos),
 			Replicates: *replicates,
 			Seed:       *seed,

@@ -50,20 +50,18 @@
 // (request latency histograms, render stage timings, fleet shard counters),
 // exempt from -rate-limit so scrapes survive traffic spikes. -access-log
 // writes one JSON line per API request (method, route, status, bytes,
-// duration, trace ID, render-cache disposition) to stderr.
-// -metrics-interval publishes registry snapshots on the events bus (topic
-// "metrics") so SSE consumers get live counters without polling. -pprof
-// mounts net/http/pprof at /debug/pprof/ — off by default, it exposes heap
-// and CPU profiles. Every request carries an X-Jed-Trace ID (adopted from
-// the request header or minted) that every campaign shard lease carries to
-// its worker.
+// duration, trace ID, render-cache disposition) to stderr. -pprof mounts
+// net/http/pprof at /debug/pprof/ — off by default, it exposes heap and
+// CPU profiles. Every request carries an X-Jed-Trace ID (adopted from the
+// request header or minted) that every campaign shard lease carries to its
+// worker.
 //
-// -state-dir makes the server durable: session descriptors, job records,
-// finished results, and the completed shards of running campaigns are
+// -state-dir makes the server durable: session descriptors, campaign
+// records, finished results, and the merged cells of running campaigns are
 // journaled into that directory, and a restarted server recovers them —
 // sessions re-list (their schedules re-hydrate lazily on first access),
-// terminal job results serve byte-identically, and interrupted campaigns
-// resume from their last journaled shard. Empty (the default) keeps
+// terminal campaign results serve byte-identically, and interrupted
+// campaigns resume from their journaled cells. Empty (the default) keeps
 // the purely in-memory behavior. See the README's "Durable state" section.
 package main
 
@@ -103,7 +101,6 @@ func main() {
 		workerName    = flag.String("worker-name", "", "worker mode: name reported to the coordinator (default: hostname)")
 		workerPoll    = flag.Duration("worker-poll", 500*time.Millisecond, "worker mode: idle lease-poll pacing")
 		pprofOn       = flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/ (off by default)")
-		metricsEvery  = flag.Duration("metrics-interval", 0, "publish a metrics snapshot on the events bus (topic \"metrics\") at this interval (0 = off)")
 		accessLog     = flag.Bool("access-log", false, "write one JSON line per API request to stderr")
 	)
 	flag.Parse()
@@ -130,7 +127,7 @@ func main() {
 		fleet: *fleetOn, minWorkers: *minWorkers,
 		heartbeat: *heartbeat, leaseTTL: *leaseTTL,
 		stateDir: *stateDir,
-		pprof:    *pprofOn, metricsInterval: *metricsEvery, accessLog: *accessLog,
+		pprof:    *pprofOn, accessLog: *accessLog,
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "jedserve:", err)
@@ -151,7 +148,6 @@ type serveOptions struct {
 	heartbeat, leaseTTL          time.Duration
 	stateDir                     string
 	pprof                        bool
-	metricsInterval              time.Duration
 	accessLog                    bool
 }
 
@@ -226,11 +222,6 @@ func run(o serveOptions) error {
 	}
 	if o.accessLog {
 		srv.SetAccessLog(os.Stderr)
-	}
-	if o.metricsInterval > 0 {
-		stop := srv.StartMetricsPublisher(o.metricsInterval)
-		defer stop()
-		fmt.Printf("jedserve: publishing metrics snapshots every %v (topic \"metrics\")\n", o.metricsInterval)
 	}
 	fmt.Printf("jedserve: serving %d sessions on %s (API at /api/v1/, metrics at /api/v1/metrics)\n", store.Len(), o.addr)
 	return srv.ListenAndServe(o.addr)

@@ -1,86 +1,48 @@
 package api
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/coord"
 	"repro/internal/events"
-	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/persist"
 )
 
-// Campaign surface: POST /api/v1/campaigns runs one campaign as a job on
-// the server's engine — a coord.Coordinator queueing the campaign's shards
-// on the server's fleet (the in-process worker, or the jedserve -join
-// workers of a -fleet server) and merging what comes back. GET polls
-// (?wait= long-polls), DELETE cancels, and /result serves the merged
-// summary once done. /api/v1/jobs is an alias of the same routes: an ID
-// minted on either surface resolves on both, and only the nouns on the
-// wire (error codes, the list key, the Location header) follow the path the
-// client used.
+// Campaign surface: POST /api/v1/campaigns files one campaign in the
+// server's campaign table (campaigntable.go) — a coord.Coordinator queueing
+// the campaign's shards on the server's fleet (the in-process worker, or
+// the jedserve -join workers of a -fleet server) and merging what comes
+// back. GET polls (?wait= long-polls), DELETE cancels, and /result serves
+// the merged summary once done. /api/v1/jobs is an alias of the same
+// routes: an ID minted on either surface resolves on both, and only the
+// nouns on the wire (error codes, the list key, the Location header)
+// follow the path the client used.
 
 // shardEvent is the payload of topic "shard" events: the coordinator's
-// per-shard progress snapshot plus the campaign job it belongs to.
+// per-shard progress snapshot plus the campaign it belongs to.
 type shardEvent struct {
 	Campaign string `json:"campaign"`
 	coord.ShardProgress
 }
 
-// campaignTracker pairs the engine job with its coordinator so progress
-// snapshots survive while the run is in flight. Entries are pruned lazily
-// when the engine's retention cap drops the job.
-type campaignTracker struct {
-	mu   sync.Mutex
-	runs map[string]*coord.Coordinator
-}
-
-func (t *campaignTracker) put(id string, c *coord.Coordinator) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.runs == nil {
-		t.runs = map[string]*coord.Coordinator{}
-	}
-	t.runs[id] = c
-}
-
-func (t *campaignTracker) get(id string) (*coord.Coordinator, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.runs[id]
-	return c, ok
-}
-
-// prune drops the trackers of jobs the engine no longer retains.
-func (t *campaignTracker) prune(e *jobs.Engine) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id := range t.runs {
-		if _, ok := e.Get(id); !ok {
-			delete(t.runs, id)
-		}
-	}
-}
-
 // campaignRequest is the body of POST /api/v1/campaigns: the campaign spec
 // plus the fan-out knobs. Shard stays forbidden — the coordinator owns the
-// sharding. It is also the job's persisted descriptor, from which a
-// restarted server resumes the campaign.
+// sharding. It is also the persisted spec of the campaign's record, from
+// which a restarted server resumes the campaign.
 type campaignRequest struct {
-	jobs.CampaignSpec
+	campaign.Spec
 	Shards      int `json:"shards,omitempty"`
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
-// jobInfo is the JSON description of one campaign job.
+// jobInfo is the JSON description of one campaign, also the payload of its
+// job events.
 type jobInfo struct {
 	ID       string      `json:"id"`
 	Kind     string      `json:"kind"`
@@ -97,10 +59,9 @@ type jobProgress struct {
 	Total int `json:"total"`
 }
 
-func infoOfJob(j *jobs.Job) jobInfo {
-	st := j.Status()
+func infoOfStatus(st campaignStatus) jobInfo {
 	info := jobInfo{
-		ID: st.ID, Kind: st.Kind, State: string(st.State),
+		ID: st.ID, Kind: st.Kind, State: st.State,
 		Progress: jobProgress{Done: st.Done, Total: st.Total},
 		Error:    st.Err,
 		Created:  st.Created,
@@ -114,20 +75,16 @@ func infoOfJob(j *jobs.Job) jobInfo {
 	return info
 }
 
-// campaignInfo is the wire state of one campaign: the job plus the
+// campaignInfo is the wire state of one campaign: its record plus the
 // coordinator's aggregate progress.
 type campaignInfo struct {
 	jobInfo
 	Coordination *coord.Progress `json:"coordination,omitempty"`
 }
 
-func (s *Server) campaignInfoOf(j *jobs.Job) campaignInfo {
-	info := campaignInfo{jobInfo: infoOfJob(j)}
-	if c, ok := s.campaigns.get(j.ID()); ok {
-		p := c.Progress()
-		info.Coordination = &p
-	}
-	return info
+func (s *Server) campaignInfoOf(rec *campaignRecord) campaignInfo {
+	st, p := s.campaigns.status(rec)
+	return campaignInfo{jobInfo: infoOfStatus(st), Coordination: p}
 }
 
 // surface names the alias a request came in on: "job" or "campaign".
@@ -138,19 +95,15 @@ func surface(r *http.Request) string {
 	return "campaign"
 }
 
-// newCampaign builds the coordinator of one campaign request and the job
-// body that runs it. With persistence on, the job journals the run under
-// its own ID, so a restarted server resumes it (resume=true) from the cells
-// the run journal holds.
-func (s *Server) newCampaign(req campaignRequest, trace *obs.Trace, resume bool) (*coord.Coordinator, jobs.Fn, error) {
-	// The job handle does not exist until after submission; the job body
-	// sets it before Run, whose goroutine is the only caller of the
-	// observers below.
-	var job *jobs.Job
+// newCampaign builds the coordinator of rec from its request. With
+// persistence on, the run journals every merged cell under rec's ID, so a
+// restarted server resumes it from the cells the run journal holds. The
+// observers below run on Run's goroutine, after rec has its ID.
+func (s *Server) newCampaign(rec *campaignRecord, req campaignRequest, trace *obs.Trace) error {
 	cfg := coord.Config{
 		Fleet:       s.campaignFleet(),
 		MinWorkers:  s.fleetMin,
-		Spec:        req.CampaignSpec,
+		Spec:        req.Spec,
 		Shards:      req.Shards,
 		MaxAttempts: req.MaxAttempts,
 		Metrics:     s.metrics,
@@ -161,50 +114,39 @@ func (s *Server) newCampaign(req campaignRequest, trace *obs.Trace, resume bool)
 	}
 	if s.persist != nil {
 		cfg.OnCell = func(cell campaign.Cell) error {
-			s.journalCell(job.ID(), cell)
+			s.journalCell(rec.id, cell)
 			return nil
 		}
 	}
-	var c *coord.Coordinator
+	published := 0
 	cfg.OnShard = func(sp coord.ShardProgress) {
-		// Progress counts every cell the run holds, resumed ones too.
-		if n := c.Progress().CellsDone - job.Status().Done; n > 0 {
-			job.Advance(n)
+		// One progress event per shard that adds cells, resumed ones too:
+		// a per-cell event would push shard history out of the replay tail.
+		if n := rec.c.Progress().CellsDone; n > published {
+			published = n
+			s.publishJob(rec, "progress")
 		}
-		// Shard events are keyed by the campaign job, so one SSE filter
+		// Shard events are keyed by the campaign, so one SSE filter
 		// (?campaign=j3) follows the whole fan-out.
-		s.bus.Publish(events.TopicShard, sp.State, job.ID(), shardEvent{Campaign: job.ID(), ShardProgress: sp})
+		s.bus.Publish(events.TopicShard, sp.State, rec.id, shardEvent{Campaign: rec.id, ShardProgress: sp})
 	}
 	c, err := coord.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return c, func(ctx context.Context, j *jobs.Job) (any, error) {
-		job = j
-		var done []campaign.Cell
-		if s.persist != nil {
-			var err error
-			if done, err = s.openRunJournal(j.ID(), c.Header(), resume); err != nil {
-				return nil, err
-			}
-		}
-		res, err := c.Run(ctx, done)
-		if err != nil {
-			return nil, err
-		}
-		return &jobs.CampaignOutcome{Header: c.Header(), Result: res}, nil
-	}, nil
+	rec.c, rec.st.Total = c, c.Cells()
+	return nil
 }
 
 // runNS is the persistence namespace of the campaign run journals. Under
-// each campaign job's ID it holds the run's identity header
-// ("<job>/header", written durably) and one best-effort record per merged
-// cell ("<job>/c/%08d"), from which a restarted server resumes the run
-// without computing those cells again. A job drops its journal when it
+// each campaign's ID it holds the run's identity header ("<id>/header",
+// written durably) and one best-effort record per merged cell
+// ("<id>/c/%08d"), from which a restarted server resumes the run without
+// computing those cells again. A campaign drops its journal when it
 // reaches a terminal state.
 const runNS = "runs"
 
-// openRunJournal prepares the run journal of campaign job id and returns
+// openRunJournal prepares the run journal of campaign id and returns
 // the cells to resume from. With resume and a journaled header, the header
 // must be h and the journaled cells come back; otherwise any stale record
 // under the ID is dropped and h is written, so the next resume can verify
@@ -249,19 +191,19 @@ func (s *Server) openRunJournal(id string, h campaign.Header, resume bool) ([]ca
 	return nil, ps.PutDurable(runNS, id+"/header", b)
 }
 
-// journalCell records one merged cell of job id's run. Best-effort: a lost
-// record only means computing the cell again after a crash, never a wrong
-// result.
+// journalCell records one merged cell of campaign id's run. Best-effort: a
+// lost record only means computing the cell again after a crash, never a
+// wrong result.
 func (s *Server) journalCell(id string, cell campaign.Cell) {
 	if b, err := json.Marshal(cell); err == nil {
 		s.persist.Put(runNS, fmt.Sprintf("%s/c/%08d", id, cell.Index), b) //nolint:errcheck // best-effort, as above
 	}
 }
 
-// dropRunJournals drops the run journal of every job that will not run
-// again: a job the engine does not hold, or one that is terminal. Called
-// after Recover, it catches the journals of jobs restored as terminal or
-// failed as interrupted, whose drop a crash cut off.
+// dropRunJournals drops the run journal of every campaign that will not
+// run again: one the table does not hold, or one that is terminal. Called
+// after recovery, it catches the journals of campaigns restored as
+// terminal or failed as interrupted, whose drop a crash cut off.
 func (s *Server) dropRunJournals() error {
 	records, err := s.persist.Load(runNS)
 	if err != nil {
@@ -270,7 +212,12 @@ func (s *Server) dropRunJournals() error {
 	ended := map[string]bool{}
 	for k := range records {
 		id, _, _ := strings.Cut(k, "/")
-		if j, ok := s.jobs.Get(id); !ok || j.Status().State.Terminal() {
+		rec, ok := s.campaigns.get(id)
+		if !ok {
+			ended[id] = true
+			continue
+		}
+		if st, _ := s.campaigns.status(rec); terminal(st.State) {
 			ended[id] = true
 		}
 	}
@@ -282,38 +229,8 @@ func (s *Server) dropRunJournals() error {
 	return nil
 }
 
-// jobJournal is the engine's journal: the job records, plus the drop of a
-// job's run journal once the job is terminal — after its terminal record is
-// durable, so a crash in between leaves a journal for dropRunJournals, never
-// a job resumed without one.
-type jobJournal struct {
-	*jobs.Persister
-	ps persist.Store
-}
-
-func (jj jobJournal) JobFinished(j *jobs.Job) {
-	jj.Persister.JobFinished(j)
-	jj.ps.DeletePrefix(runNS, j.ID()+"/") //nolint:errcheck // dropRunJournals retries on the next start
-}
-
-// resumeCampaign is the jobs.Resumer of a restarted server: it rebuilds an
-// interrupted campaign from its persisted request, resuming the run
-// journaled under the job's ID.
-func (s *Server) resumeCampaign(id string, meta []byte) (jobs.Fn, int, error) {
-	var req campaignRequest
-	if err := json.Unmarshal(meta, &req); err != nil {
-		return nil, 0, err
-	}
-	c, fn, err := s.newCampaign(req, nil, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.campaigns.put(id, c)
-	return fn, c.Cells(), nil
-}
-
-// createCampaign validates the request, builds its coordinator, and runs
-// it as a job on the engine; 202 with the poll URL.
+// createCampaign validates the request, builds its coordinator, and files
+// it in the campaign table; 202 with the poll URL.
 func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 	noun := surface(r)
 	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
@@ -325,34 +242,32 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_spec", "bad %s spec: %v", noun, err)
 		return
 	}
-	c, fn, err := s.newCampaign(req, obs.FromContext(r.Context()), false)
-	if err != nil {
+	spec, _ := json.Marshal(req) // plain strings and numbers: cannot fail
+	rec := newRecord(campaignStatus{Kind: kindCampaign, State: statePending, Created: time.Now(), Spec: spec})
+	if err := s.newCampaign(rec, req, obs.FromContext(r.Context())); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_spec", "%v", err)
 		return
 	}
-	meta, _ := json.Marshal(req) // plain strings and numbers: cannot fail
-	j := s.jobs.SubmitWithMeta(jobs.KindCampaign, c.Cells(), meta, fn)
-	s.campaigns.put(j.ID(), c)
-	s.campaigns.prune(s.jobs)
-	w.Header().Set("Location", r.URL.Path+"/"+j.ID())
-	writeJSON(w, http.StatusAccepted, s.campaignInfoOf(j))
+	s.submitCampaign(rec)
+	w.Header().Set("Location", r.URL.Path+"/"+rec.id)
+	writeJSON(w, http.StatusAccepted, s.campaignInfoOf(rec))
 }
 
-// campaignJob resolves {id} to a campaign job.
-func (s *Server) campaignJob(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
+// campaignRecordOf resolves {id} to a campaign.
+func (s *Server) campaignRecordOf(w http.ResponseWriter, r *http.Request) (*campaignRecord, bool) {
 	id := r.PathValue("id")
-	j, ok := s.jobs.Get(id)
+	rec, ok := s.campaigns.get(id)
 	if !ok {
 		noun := surface(r)
 		writeError(w, http.StatusNotFound, noun+"_not_found", "no %s %q", noun, id)
 		return nil, false
 	}
-	return j, true
+	return rec, true
 }
 
-// listCampaigns lists the engine's jobs in submission order (a stable
-// order: IDs are minted monotonically). ?state= and ?kind= filter before
-// pagination, so total counts the matches, not the whole engine.
+// listCampaigns lists the table in submission order (a stable order: IDs
+// are minted monotonically). ?state= and ?kind= filter before pagination,
+// so total counts the matches, not the whole table.
 func (s *Server) listCampaigns(w http.ResponseWriter, r *http.Request) {
 	pg, ok := parsePage(w, r)
 	if !ok {
@@ -366,10 +281,10 @@ func (s *Server) listCampaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var infos []campaignInfo
-	for _, j := range s.jobs.List() {
-		st := j.Status()
-		if (state == "" || string(st.State) == state) && (kind == "" || st.Kind == kind) {
-			infos = append(infos, s.campaignInfoOf(j))
+	for _, rec := range s.campaigns.list() {
+		info := s.campaignInfoOf(rec)
+		if (state == "" || info.State == state) && (kind == "" || info.Kind == kind) {
+			infos = append(infos, info)
 		}
 	}
 	total := len(infos)
@@ -384,8 +299,8 @@ func (s *Server) listCampaigns(w http.ResponseWriter, r *http.Request) {
 }
 
 func validJobState(s string) bool {
-	switch jobs.State(s) {
-	case jobs.Pending, jobs.Running, jobs.Done, jobs.Failed, jobs.Cancelled:
+	switch s {
+	case statePending, stateRunning, stateDone, stateFailed, stateCancelled:
 		return true
 	}
 	return false
@@ -395,39 +310,39 @@ func validJobState(s string) bool {
 // terminal or the duration elapses, then answers with the current state
 // either way.
 func (s *Server) getCampaign(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.campaignJob(w, r)
+	rec, ok := s.campaignRecordOf(w, r)
 	if !ok {
 		return
 	}
-	if !s.maybeWait(w, r, s.jobs, j) {
+	if !s.maybeWait(w, r, rec) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.campaignInfoOf(j))
+	writeJSON(w, http.StatusOK, s.campaignInfoOf(rec))
 }
 
 // cancelCampaign requests cancellation; cancelling a terminal campaign is a
 // no-op. The response reports the state after the request took effect.
 func (s *Server) cancelCampaign(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.campaignJob(w, r)
+	rec, ok := s.campaignRecordOf(w, r)
 	if !ok {
 		return
 	}
-	j.Cancel()
-	writeJSON(w, http.StatusOK, s.campaignInfoOf(j))
+	s.cancelRecord(rec)
+	writeJSON(w, http.StatusOK, s.campaignInfoOf(rec))
 }
 
 // campaignResultJSON is the aggregated campaign summary served once a job
 // is done: per-algorithm win totals, the per-cell table (as data and as the
 // rendered text table), and the corner cases over the threshold.
 type campaignResultJSON struct {
-	// Header is the campaign identity the job ran under.
+	// Header is the campaign identity the run used.
 	Header campaign.Header `json:"header"`
 	Algos  []string        `json:"algos"`
 	Total  int             `json:"total"`
 	Wins   map[string]int  `json:"wins"`
 	Ties   int             `json:"ties"`
 	Cells  []campaign.Cell `json:"cells"`
-	// Merged names the job the summary belongs to.
+	// Merged names the campaign the summary belongs to.
 	Merged      []string         `json:"merged"`
 	CornerCases []cornerCaseJSON `json:"corner_cases"`
 	Threshold   float64          `json:"threshold"`
@@ -443,28 +358,29 @@ type cornerCaseJSON struct {
 // campaign. ?threshold= tunes the corner-case cut (default 1.2, the
 // campaign command's default).
 func (s *Server) campaignResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.campaignJob(w, r)
+	rec, ok := s.campaignRecordOf(w, r)
 	if !ok {
 		return
 	}
 	noun := surface(r)
-	st := j.Status()
+	st, _ := s.campaigns.status(rec)
 	switch st.State {
-	case jobs.Done:
-	case jobs.Failed:
+	case stateDone:
+	case stateFailed:
 		writeError(w, http.StatusInternalServerError, noun+"_failed", "%s %s failed: %s", noun, st.ID, st.Err)
 		return
 	default:
 		writeError(w, http.StatusConflict, noun+"_not_terminal", "%s %s is %s", noun, st.ID, st.State)
 		return
 	}
-	out, err := jobs.CampaignResult(j)
-	if err != nil {
-		writeError(w, http.StatusConflict, "result_unavailable", "%v", err)
+	if st.Outcome == nil {
+		writeError(w, http.StatusConflict, "result_unavailable", "%s %s carries no result", noun, st.ID)
 		return
 	}
+	out := st.Outcome
 	threshold := 1.2
 	if raw := r.URL.Query().Get("threshold"); raw != "" {
+		var err error
 		threshold, err = strconv.ParseFloat(raw, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_threshold", "bad threshold %q", raw)

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fleet"
-	"repro/internal/jobs"
 )
 
 // newCampaignServer is an API server with a fleet of n pull workers
@@ -26,20 +24,12 @@ func newCampaignServer(t *testing.T, n int) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
-// waitCampaign blocks on the engine's wait primitive (not a sleep loop)
-// until the campaign is terminal, then fetches its final state.
-func waitCampaign(t *testing.T, ts *httptest.Server, srv *Server, id string) map[string]any {
+// waitCampaign long-polls GET /api/v1/campaigns/{id}?wait= until the
+// campaign is terminal and returns its final state. The server argument
+// is unused: it keeps the call sites of every campaign test alike.
+func waitCampaign(t *testing.T, ts *httptest.Server, _ *Server, id string) map[string]any {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if _, err := srv.Jobs().Wait(ctx, id); err != nil {
-		t.Fatalf("wait %s: %v", id, err)
-	}
-	code, info := doJSON(t, "GET", ts.URL+"/api/v1/campaigns/"+id, nil, "")
-	if code != 200 {
-		t.Fatalf("get campaign %s = %d %v", id, code, info)
-	}
-	return info
+	return pollAt(t, ts.URL+"/api/v1/campaigns/"+id)
 }
 
 // TestCoordinatedCampaign runs POST /api/v1/campaigns against two real
@@ -92,7 +82,7 @@ func TestCoordinatedCampaign(t *testing.T) {
 // template (filled with no extra fields), run in this process.
 func singleProcessTable(t *testing.T, specTmpl string) string {
 	t.Helper()
-	var spec jobs.CampaignSpec
+	var spec campaign.Spec
 	if err := json.Unmarshal([]byte(fmt.Sprintf(specTmpl, "")), &spec); err != nil {
 		t.Fatal(err)
 	}

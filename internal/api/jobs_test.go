@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/jobs"
+	"repro/internal/fleet"
 )
 
 const smallJobSpec = `{"algos": ["cpa", "mcpa"], "shapes": ["serial", "wide"],
@@ -28,21 +28,27 @@ func launchJob(t *testing.T, ts *httptest.Server, spec string) string {
 }
 
 // pollJob blocks until the job reaches a terminal state, via the ?wait=
-// long-poll (Engine.Wait under the handler) rather than a sleep loop.
+// long-poll rather than a sleep loop.
 func pollJob(t *testing.T, ts *httptest.Server, id string) map[string]any {
+	t.Helper()
+	return pollAt(t, ts.URL+"/api/v1/jobs/"+id)
+}
+
+// pollAt long-polls the campaign at url until it is terminal.
+func pollAt(t *testing.T, url string) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		code, info := doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+id+"?wait=30s", nil, "")
+		code, info := doJSON(t, "GET", url+"?wait=30s", nil, "")
 		if code != 200 {
-			t.Fatalf("poll %s = %d %v", id, code, info)
+			t.Fatalf("poll %s = %d %v", url, code, info)
 		}
 		switch info["state"] {
 		case "done", "failed", "cancelled":
 			return info
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck: %v", id, info)
+			t.Fatalf("%s stuck: %v", url, info)
 		}
 	}
 }
@@ -171,21 +177,23 @@ func TestJobCancel(t *testing.T) {
 }
 
 func TestJobBadInputs(t *testing.T) {
-	ts, srv := newTestServer(t)
+	ts, _ := newFleetServer(t, fleet.NewManager(fleet.Config{HeartbeatInterval: 100 * time.Millisecond}), 1)
+	// One worker computes a done campaign, then stops: the next campaign
+	// stays running with no worker to take its shards, so the not-done
+	// checks are deterministic.
+	ctx, stopPuller := context.WithCancel(context.Background())
+	pulled := make(chan struct{})
+	go func() {
+		defer close(pulled)
+		fleet.RunWorker(ctx, fleet.WorkerConfig{Coordinator: ts.URL, Name: "once", Poll: 10 * time.Millisecond}) //nolint:errcheck // exits on cancel
+	}()
 	done := launchJob(t, ts, fmt.Sprintf(smallJobSpec, ""))
-	pollJob(t, ts, done)
-	// A stub campaign job that stays Running until the engine shuts down,
-	// so the not-done checks are deterministic.
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	runningJob := srv.Jobs().Submit(jobs.KindCampaign, 10, func(ctx context.Context, _ *jobs.Job) (any, error) {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return nil, context.Canceled
-	})
-	running := runningJob.ID()
+	if st := pollJob(t, ts, done); st["state"] != "done" {
+		t.Fatalf("campaign %s = %v", done, st)
+	}
+	stopPuller()
+	<-pulled
+	running := launchJob(t, ts, fmt.Sprintf(smallJobSpec, ""))
 
 	for name, check := range map[string]struct {
 		method, url, body string

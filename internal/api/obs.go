@@ -5,9 +5,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"time"
 
-	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
@@ -119,12 +117,12 @@ func (s *Server) registerMetrics() {
 	m.GaugeFunc("jed_events_subscribers", "Live bus subscribers.",
 		func() float64 { return float64(s.bus.Stats().Subscribers) })
 
-	// Job engine.
+	// Campaign table.
 	m.CounterFunc("jed_jobs_evicted_total",
-		"Terminal jobs dropped by the retention cap.",
-		func() float64 { return float64(s.jobs.Evictions()) })
-	m.GaugeFunc("jed_jobs_queue_depth", "Jobs waiting for an engine slot.",
-		func() float64 { return float64(s.jobs.QueueDepth()) })
+		"Terminal campaigns dropped from the campaign table by its retention cap.",
+		func() float64 { return float64(s.campaigns.evictions.Load()) })
+	m.GaugeFunc("jed_jobs_queue_depth", "Campaigns in the campaign table waiting for a run slot.",
+		func() float64 { return float64(s.campaigns.pending()) })
 }
 
 // registerFleetMetrics exposes a fleet manager's counters on r. The
@@ -147,10 +145,10 @@ func (s *Server) registerPersistMetrics() {
 		"Session persistence write errors.",
 		func() float64 { return float64(s.store.PersistErrors()) })
 	m.CounterFunc("jed_persist_job_errors_total",
-		"Job journal write errors.",
-		func() float64 { return float64(s.jobsPersist.Errors()) })
+		"Campaign table record write errors.",
+		func() float64 { return float64(s.campaigns.jerrs.Load()) })
 	m.CounterFunc("jed_persist_jobs_resumed_total",
-		"Interrupted jobs re-submitted at startup.",
+		"Interrupted campaigns resumed at startup.",
 		func() float64 { return float64(s.recovered.Resumed) })
 }
 
@@ -167,28 +165,4 @@ func mountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// StartMetricsPublisher publishes a registry snapshot on the events bus
-// (topic "metrics") every interval, and returns the stop function. SSE
-// consumers get live counters without polling /api/v1/meta (jedserve
-// -metrics-interval; default off).
-func (s *Server) StartMetricsPublisher(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				s.bus.Publish(events.TopicMetrics, "snapshot", "", s.metrics.Snapshot())
-			}
-		}
-	}()
-	return func() { close(done) }
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -305,27 +304,5 @@ func TestMetaMetricsBlock(t *testing.T) {
 	}
 	if _, ok := families["jed_http_requests_total"]; !ok {
 		t.Errorf("metrics block missing jed_http_requests_total: %v", families)
-	}
-}
-
-// TestMetricsPublisher subscribes to the metrics SSE topic and waits for a
-// periodic registry snapshot (jedserve -metrics-interval).
-func TestMetricsPublisher(t *testing.T) {
-	ts, srv := newTestServer(t)
-	stop := srv.StartMetricsPublisher(10 * time.Millisecond)
-	defer stop()
-
-	c := openSSE(t, ts.URL+"/api/v1/events?topics=metrics", nil)
-	defer c.close()
-	e := c.next(t)
-	if e.Topic != "metrics" || e.Type != "snapshot" {
-		t.Fatalf("event = %+v", e)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(e.Data, &snap); err != nil {
-		t.Fatalf("bad snapshot payload: %v", err)
-	}
-	if _, ok := snap["jed_sessions"]; !ok {
-		t.Fatalf("snapshot missing jed_sessions: %v", snap)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/events"
 	"repro/internal/jedxml"
-	"repro/internal/jobs"
 	"repro/internal/persist"
 )
 
@@ -432,13 +431,49 @@ func TestPersistCampaignResumesAfterCrash(t *testing.T) {
 	}
 }
 
+// TestPersistCampaignResumesAfterStop stops a server gracefully
+// mid-campaign: a shutdown is not a cancellation, so the state dir keeps
+// the campaign's live record and run journal, and the restarted server
+// resumes it to the bytes of a fresh run.
+func TestPersistCampaignResumesAfterStop(t *testing.T) {
+	spec := `{"algos": ["cpa", "mcpa"], "shapes": ["random", "forkjoin", "wide", "long"],
+		"dag_sizes": [40, 80], "cluster_sizes": [32, 64, 128], "replicates": 3, "seed": 5, "shards": 8}`
+	stateDir := t.TempDir()
+	h1 := startPersistServer(t, stateDir, "")
+	sub := h1.srv.Bus().Subscribe(events.Filter{Topics: []events.Topic{events.TopicShard}}, 0)
+	id := launchJob(t, h1.ts, spec)
+	waitShardDone(t, sub)
+	sub.Close()
+	h1.stop(t)
+
+	h2 := startPersistServer(t, stateDir, "")
+	defer h2.stop(t)
+	if r := h2.srv.RecoveredJobs(); r.Resumed != 1 || r.Restored != 0 {
+		t.Fatalf("recovered after a stop = %+v", r)
+	}
+	if st := waitCampaign(t, h2.ts, h2.srv, id); st["state"] != "done" {
+		t.Fatalf("resumed campaign = %v", st)
+	}
+	resumed := resultBytes(t, h2.ts.URL+"/api/v1/campaigns/"+id+"/result")
+	fresh := launchJob(t, h2.ts, spec)
+	if fresh == id {
+		t.Fatalf("fresh campaign reused the resumed ID %s", id)
+	}
+	if st := waitCampaign(t, h2.ts, h2.srv, fresh); st["state"] != "done" {
+		t.Fatalf("fresh campaign = %v", st)
+	}
+	if want := resultBytes(t, h2.ts.URL+"/api/v1/campaigns/"+fresh+"/result"); !bytes.Equal(resumed, want) {
+		t.Fatalf("resumed result differs from a fresh run:\n%s\nvs\n%s", resumed, want)
+	}
+}
+
 // TestPersistLegacyStateDir starts a server on a state directory in the
 // layout of an older server — a second engine's records under "cjobs" and
 // a per-cell journal under "jobs-cells" — seeded by hand: the "cN" records
 // join the one engine under their own IDs, the cell journal goes, and the
 // interrupted old-layout job resumes from scratch to the fresh-run result.
 func TestPersistLegacyStateDir(t *testing.T) {
-	var spec jobs.CampaignSpec
+	var spec campaign.Spec
 	if err := json.Unmarshal([]byte(fmt.Sprintf(smallJobSpec, "")), &spec); err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +504,7 @@ func TestPersistLegacyStateDir(t *testing.T) {
 	}{
 		{"cjobs", "c1", record(map[string]any{"id": "c1", "kind": "campaign-coordinated", "state": "done",
 			"done": 4, "total": 4, "created": now, "finished": now,
-			"outcome": jobs.CampaignOutcome{Header: campaign.NewHeader(cfg), Result: res}})},
+			"outcome": campaignOutcome{Header: campaign.NewHeader(cfg), Result: res}})},
 		{"cjobs", "c2", record(map[string]any{"id": "c2", "kind": "campaign-coordinated", "state": "running",
 			"total": 4, "created": now})},
 		{"jobs", "j1", record(map[string]any{"id": "j1", "kind": "campaign", "state": "running",
@@ -506,8 +541,14 @@ func TestPersistLegacyStateDir(t *testing.T) {
 	if code, st := doJSON(t, "GET", h.ts.URL+"/api/v1/jobs/c2", nil, ""); code != 200 || st["state"] != "failed" {
 		t.Fatalf("c2 = %d %v", code, st)
 	}
-	if next := launchJob(t, h.ts, fmt.Sprintf(smallJobSpec, "")); next != "j2" {
+	next := launchJob(t, h.ts, fmt.Sprintf(smallJobSpec, ""))
+	if next != "j2" {
 		t.Fatalf("next ID = %s, want j2", next)
+	}
+	// A stop does not end a running campaign; let j2 finish so the next
+	// start restores it instead of resuming it.
+	if st := pollJob(t, h.ts, next); st["state"] != "done" {
+		t.Fatalf("%s = %v", next, st)
 	}
 	h.stop(t)
 

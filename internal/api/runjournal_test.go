@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fleet"
-	"repro/internal/jobs"
 	"repro/internal/persist"
 )
 
@@ -84,7 +83,7 @@ func runKeys(t *testing.T, ps persist.Store, id string) []string {
 // other two are computed, the result matches a single-process run, and the
 // finished job drops its journal.
 func TestRunJournalResume(t *testing.T) {
-	var spec jobs.CampaignSpec
+	var spec campaign.Spec
 	if err := json.Unmarshal([]byte(fmt.Sprintf(smallJobSpec, "")), &spec); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestRunJournalResume(t *testing.T) {
 // different campaign under the job's ID: the resumed job fails instead of
 // mixing incomparable cells, and drops the foreign journal.
 func TestRunJournalHeaderMismatch(t *testing.T) {
-	var spec jobs.CampaignSpec
+	var spec campaign.Spec
 	if err := json.Unmarshal([]byte(fmt.Sprintf(smallJobSpec, "")), &spec); err != nil {
 		t.Fatal(err)
 	}

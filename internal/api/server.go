@@ -18,7 +18,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/jedxml"
-	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/render"
@@ -36,7 +35,7 @@ const defaultRenderCacheBytes = 64 << 20
 // asynchronous campaign surface.
 type Server struct {
 	store         *Store
-	jobs          *jobs.Engine // every campaign, whichever alias submitted it
+	campaigns     *campaignTable // every campaign, whichever alias submitted it
 	cache         *renderCache
 	renderWorkers int  // render.Options.Workers for every rasterization; 0 = GOMAXPROCS
 	lodDefault    bool // render.Options.LOD when the request has no lod= param
@@ -45,9 +44,8 @@ type Server struct {
 	fleetMin      int            // fleet campaigns wait for this many workers
 	local         *fleet.Manager // the in-process worker's fleet, used until SetFleet
 	stopLocal     func()         // stops the in-process worker; idempotent
-	campaigns     campaignTracker
-	bus           *events.Bus   // the broadcast bus behind GET /api/v1/events
-	heartbeat     time.Duration // SSE heartbeat-comment interval
+	bus           *events.Bus    // the broadcast bus behind GET /api/v1/events
+	heartbeat     time.Duration  // SSE heartbeat-comment interval
 
 	// Observability (see obs.go). The registry is always present; access
 	// logging and pprof are opt-in.
@@ -59,23 +57,17 @@ type Server struct {
 	pprof       bool
 
 	// Durable state (nil/zero without EnablePersistence).
-	persist     persist.Store
-	jobsPersist *jobs.Persister
-	recovered   jobs.RecoverStats
+	persist   persist.Store
+	recovered RecoverStats
 }
 
-// NewServer wraps a store, starts the job engine, and starts the in-process
-// worker its campaigns dispatch to until SetFleet mounts remote ones. A
-// campaign job is a coordinator waiting on its fleet while the workers do
-// the computing, so the engine's four slots bound concurrent campaigns, not
-// CPU; one local worker suffices because each shard already spreads its
-// cells over GOMAXPROCS. Terminal jobs are retained up to a cap so past
-// results stay fetchable without growing without bound. The render cache
-// subscribes to the store's drop notifications so replaced, deleted,
-// evicted, and expired sessions lose their memoized bodies immediately.
+// NewServer wraps a store, sets up the campaign table, and starts the
+// in-process worker its campaigns dispatch to until SetFleet mounts remote
+// ones; one local worker suffices because each shard already spreads its
+// cells over GOMAXPROCS. The render cache subscribes to the store's drop
+// notifications so replaced, deleted, evicted, and expired sessions lose
+// their memoized bodies immediately.
 func NewServer(store *Store) *Server {
-	engine := jobs.NewEngine(4)
-	engine.SetRetention(256)
 	local := fleet.NewManager(fleet.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	stopped := make(chan struct{})
@@ -84,7 +76,7 @@ func NewServer(store *Store) *Server {
 		local.RunLocal(ctx, "local", nil)
 	}()
 	s := &Server{
-		store: store, jobs: engine,
+		store: store, campaigns: newCampaignTable(),
 		local:     local,
 		stopLocal: func() { cancel(); <-stopped },
 		cache:     newRenderCache(defaultRenderCacheBytes),
@@ -94,11 +86,9 @@ func NewServer(store *Store) *Server {
 	}
 	s.registerMetrics()
 	store.OnDrop(s.cache.InvalidateSession)
-	// Producer wiring: every job transition, session change, and (via
-	// newCampaign/SetFleet) shard and fleet event lands on the bus.
-	engine.SetObserver(func(j *jobs.Job, change string) {
-		s.bus.Publish(events.TopicJob, change, j.ID(), infoOfJob(j))
-	})
+	// Producer wiring: every session change, and (via the campaign table,
+	// newCampaign and SetFleet) every campaign transition, shard and fleet
+	// event lands on the bus.
 	store.OnEvent(func(kind, id string) {
 		s.bus.Publish(events.TopicSession, kind, id, nil)
 	})
@@ -107,13 +97,6 @@ func NewServer(store *Store) *Server {
 
 // Bus returns the event bus (exposed for tests and embedding servers).
 func (s *Server) Bus() *events.Bus { return s.bus }
-
-// Close stops the job engine, cancelling everything still running, and
-// the in-process worker.
-func (s *Server) Close() {
-	s.jobs.Close()
-	s.stopLocal()
-}
 
 // Store returns the underlying session store.
 func (s *Server) Store() *Store { return s.store }
@@ -168,32 +151,30 @@ func (s *Server) campaignFleet() *fleet.Manager {
 	return s.local
 }
 
-// EnablePersistence journals the job engine into the store and replays the
-// records of the previous process: terminal jobs come back with their
-// results intact, and interrupted campaigns are re-submitted under their
-// own IDs, resuming from the run journal each campaign keeps under that ID
-// (runNS) — the store's only cell journal. The run journals of jobs that
-// will not run again are dropped. Call once, after SetFleet, before
-// serving and before any job is submitted.
+// EnablePersistence journals the campaign table into the store and
+// replays the records of the previous process: terminal campaigns come
+// back with their results intact, and interrupted ones run again under
+// their own IDs, resuming from the run journal each campaign keeps under
+// that ID (runNS) — the store's only cell journal. The run journals of
+// campaigns that will not run again are dropped. Call once, after
+// SetFleet, before serving and before any campaign is submitted.
 //
 // A state directory written by an older server also holds a second
 // engine's records ("cjobs", IDs "c1", "c2", ...) and a per-cell journal
 // of running jobs ("jobs-cells"). The former are folded into "jobs" under
-// their own IDs; the latter is dropped, so a job interrupted under the old
-// layout resumes with its cells recomputed — to the same result, since
-// cells depend only on (config, index).
+// their own IDs; the latter is dropped, so a campaign interrupted under
+// the old layout resumes with its cells recomputed — to the same result,
+// since cells depend only on (config, index).
 func (s *Server) EnablePersistence(ps persist.Store) error {
 	s.persist = ps
-	s.jobsPersist = jobs.NewPersister(ps, "jobs")
-	s.jobs.SetJournal(jobJournal{s.jobsPersist, ps})
-	if err := s.jobsPersist.Adopt("cjobs"); err != nil {
+	if err := s.adoptLegacy("cjobs"); err != nil {
 		return err
 	}
 	if err := ps.DeletePrefix("jobs-cells", ""); err != nil {
 		return err
 	}
 	var err error
-	if s.recovered, err = s.jobsPersist.Recover(s.jobs, s.resumeCampaign); err != nil {
+	if s.recovered, err = s.recoverCampaigns(); err != nil {
 		return err
 	}
 	if err := s.dropRunJournals(); err != nil {
@@ -204,15 +185,11 @@ func (s *Server) EnablePersistence(ps persist.Store) error {
 }
 
 // RecoveredJobs reports what EnablePersistence replayed.
-func (s *Server) RecoveredJobs() jobs.RecoverStats { return s.recovered }
+func (s *Server) RecoveredJobs() RecoverStats { return s.recovered }
 
 // RenderCacheStats exposes the cache counters (for tests; clients read them
 // from GET /api/v1/meta).
 func (s *Server) RenderCacheStats() renderCacheStats { return s.cache.Stats() }
-
-// Jobs returns the campaign job engine (exposed for tests and graceful
-// shutdown).
-func (s *Server) Jobs() *jobs.Engine { return s.jobs }
 
 // Handler returns the API routes. The legacy viewer mounts this under
 // /api/v1/ next to its own pages; jedserve serves it directly, in which
@@ -634,7 +611,7 @@ func (s *Server) metaSnapshot() map[string]any {
 		"lod_default":          s.lodDefault,
 		"lod_renders":          s.mLodRenders.Value(),
 		"lod_tasks_aggregated": s.mLodTasks.Value(),
-		"jobs_evicted":         s.jobs.Evictions(),
+		"jobs_evicted":         s.campaigns.evictions.Load(),
 		"events":               busStats,
 		"long_polls":           s.mLongPolls.Value(),
 		"metrics":              s.metrics.Snapshot(),
@@ -648,7 +625,7 @@ func (s *Server) metaSnapshot() map[string]any {
 			"recovered_sessions": s.store.RecoveredSessions(),
 			"hydration_failures": s.store.HydrationFailures(),
 			"session_errors":     s.store.PersistErrors(),
-			"job_errors":         s.jobsPersist.Errors(),
+			"job_errors":         s.campaigns.jerrs.Load(),
 			"jobs":               s.recovered,
 		}
 	}

@@ -9,6 +9,13 @@
 // cluster selection, mode, grayscale, size, format) travel as query
 // parameters of each request, so any number of clients can read the same
 // session concurrently without interfering.
+//
+// Campaigns (POST /api/v1/campaigns, alias /api/v1/jobs) live in one typed
+// campaign table (campaigntable.go): each record holds its request, its
+// coordinator, its state and its outcome, and runs on its own goroutine
+// behind four run slots. With persistence on, the table journals its
+// records and each run's cells; closing the server stops the runs without
+// ending them, so the next process resumes them.
 package api
 
 import (

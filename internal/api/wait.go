@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"repro/internal/jobs"
 )
 
 // The shared ?wait= long-poll and limit=/offset= pagination semantics of
@@ -39,12 +37,12 @@ type badWaitError struct{ raw string }
 func (e *badWaitError) Error() string { return "bad wait " + strconv.Quote(e.raw) }
 
 // maybeWait is the one ?wait= long-poll implementation shared by the job
-// and campaign endpoints: it blocks — via the engine's wait primitive, not
-// a sleep loop — until the job reaches a terminal state, the (capped)
+// and campaign endpoints: it blocks — on the record's finished channel, not
+// a sleep loop — until the campaign is terminal and on record, the (capped)
 // duration elapses, or the client disconnects (the request context is the
 // wait context, so a gone client frees the handler immediately). It reports
 // false after answering a malformed duration with a 400 bad_wait envelope.
-func (s *Server) maybeWait(w http.ResponseWriter, r *http.Request, e *jobs.Engine, j *jobs.Job) bool {
+func (s *Server) maybeWait(w http.ResponseWriter, r *http.Request, rec *campaignRecord) bool {
 	d, ok, err := parseWait(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_wait",
@@ -57,7 +55,10 @@ func (s *Server) maybeWait(w http.ResponseWriter, r *http.Request, e *jobs.Engin
 	s.mLongPolls.Inc()
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
-	e.Wait(ctx, j.ID()) //nolint:errcheck // timeout just means "answer with the current state"
+	select { // a timeout just means "answer with the current state"
+	case <-rec.finished:
+	case <-ctx.Done():
+	}
 	return true
 }
 

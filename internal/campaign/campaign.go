@@ -12,6 +12,10 @@
 // additions — can join the comparison. Cells run concurrently on a bounded
 // worker pool; results are deterministic for a given seed regardless of the
 // worker count, because every replicate derives its own seeded generator.
+//
+// Spec is the wire form of a campaign — the REST request body and the spec
+// of every fleet shard assignment — and Spec.Resolve turns it into the
+// Config and Shard that run.
 package campaign
 
 import (

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fleet"
-	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -45,7 +44,7 @@ type Config struct {
 	MinWorkers int
 	// Spec is the campaign to run. Spec.Shard must be empty — sharding is
 	// the coordinator's job.
-	Spec jobs.CampaignSpec
+	Spec campaign.Spec
 	// Shards is the number of k/n partitions to queue; 0 means four per
 	// MinWorkers. Small shards are what lets a fast worker overtake a slow
 	// one, and they bound the work lost when a worker dies.

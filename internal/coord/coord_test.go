@@ -21,14 +21,13 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coord"
 	"repro/internal/fleet"
-	"repro/internal/jobs"
 	_ "repro/internal/sched/all"
 )
 
 // testSpec is a small two-shape campaign (4 cells) that completes in well
 // under a second per shard.
-func testSpec() jobs.CampaignSpec {
-	return jobs.CampaignSpec{
+func testSpec() campaign.Spec {
+	return campaign.Spec{
 		Algos:        []string{"cpa", "mcpa"},
 		Shapes:       []string{"serial", "wide"},
 		DAGSizes:     []int{15},
@@ -40,7 +39,7 @@ func testSpec() jobs.CampaignSpec {
 
 // singleProcess runs the same campaign in-process — the golden result every
 // coordinated run must reproduce exactly.
-func singleProcess(t *testing.T, spec jobs.CampaignSpec) *campaign.Result {
+func singleProcess(t *testing.T, spec campaign.Spec) *campaign.Result {
 	t.Helper()
 	cfg, _, err := spec.Resolve()
 	if err != nil {

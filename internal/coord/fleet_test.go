@@ -15,13 +15,12 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coord"
 	"repro/internal/fleet"
-	"repro/internal/jobs"
 )
 
 // wideSpec is an 8-cell campaign — enough shards that stealing one still
 // leaves plenty to balance.
-func wideSpec() jobs.CampaignSpec {
-	return jobs.CampaignSpec{
+func wideSpec() campaign.Spec {
+	return campaign.Spec{
 		Algos:        []string{"cpa", "mcpa"},
 		Shapes:       []string{"serial", "wide"},
 		DAGSizes:     []int{15, 20},

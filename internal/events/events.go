@@ -1,9 +1,9 @@
 // Package events is the broadcast bus behind GET /api/v1/events.
 //
-// Producers (the jobs engine, the campaign coordinator, the fleet manager,
-// the session store) Publish typed events; subscribers receive them through
-// per-subscriber bounded ring buffers, so a wedged consumer can never stall
-// a publisher — when a subscriber's ring overflows, the oldest buffered
+// Producers (the API's campaign table, the campaign coordinator, the fleet
+// manager, the session store) Publish typed events; subscribers receive
+// them through per-subscriber bounded ring buffers, so a wedged consumer
+// can never stall a publisher — when a subscriber's ring overflows, the oldest buffered
 // event is dropped and counted, and the drop count is surfaced to that
 // subscriber on its next Drain. Every event carries a bus-wide monotonic ID
 // (the SSE Last-Event-ID cursor) and a per-topic sequence number, and the
@@ -28,18 +28,17 @@ const (
 	TopicShard   Topic = "shard"   // coordinator shard dispatch/complete/reassign
 	TopicFleet   Topic = "fleet"   // worker join/retire/lease/steal
 	TopicSession Topic = "session" // session create/replace/evict
-	TopicMetrics Topic = "metrics" // periodic metrics-registry snapshots
 )
 
 // Topics lists every topic the bus carries, in documentation order.
 func Topics() []Topic {
-	return []Topic{TopicJob, TopicShard, TopicFleet, TopicSession, TopicMetrics}
+	return []Topic{TopicJob, TopicShard, TopicFleet, TopicSession}
 }
 
 // ValidTopic reports whether t names a known topic.
 func ValidTopic(t Topic) bool {
 	switch t {
-	case TopicJob, TopicShard, TopicFleet, TopicSession, TopicMetrics:
+	case TopicJob, TopicShard, TopicFleet, TopicSession:
 		return true
 	}
 	return false

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fleet"
-	"repro/internal/jobs"
 	_ "repro/internal/sched/all"
 )
 
@@ -39,8 +38,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // testSpec is the 4-cell campaign the coordinator tests use.
-func testSpec() jobs.CampaignSpec {
-	return jobs.CampaignSpec{
+func testSpec() campaign.Spec {
+	return campaign.Spec{
 		Algos:        []string{"cpa", "mcpa"},
 		Shapes:       []string{"serial", "wide"},
 		DAGSizes:     []int{15},

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/jobs"
 )
 
 // RunConfig describes one campaign's shard queue. The coordinator resolves
@@ -15,7 +14,7 @@ import (
 type RunConfig struct {
 	// Spec is the shardless campaign spec; assignments carry it with Shard
 	// set to the leased "k/n".
-	Spec jobs.CampaignSpec
+	Spec campaign.Spec
 	// Shards is the n of k/n.
 	Shards int
 	// Pending lists the 1-based shard numbers still to execute.
@@ -79,7 +78,7 @@ type shardLease struct {
 type Run struct {
 	id          string
 	m           *Manager
-	spec        jobs.CampaignSpec
+	spec        campaign.Spec
 	shards      int
 	header      campaign.Header
 	cellCount   int
@@ -225,12 +224,12 @@ func (r *Run) failLocked(err error) {
 // Assignment is one leased shard, as sent to the worker: the campaign spec
 // with Shard set, plus the lease identity the completion must echo.
 type Assignment struct {
-	Run      string            `json:"run"`
-	Lease    string            `json:"lease"`
-	Shard    int               `json:"shard"`  // k
-	Shards   int               `json:"shards"` // n
-	Spec     jobs.CampaignSpec `json:"spec"`
-	LeaseTTL float64           `json:"lease_ttl_seconds"`
+	Run      string        `json:"run"`
+	Lease    string        `json:"lease"`
+	Shard    int           `json:"shard"`  // k
+	Shards   int           `json:"shards"` // n
+	Spec     campaign.Spec `json:"spec"`
+	LeaseTTL float64       `json:"lease_ttl_seconds"`
 	// Trace is the coordinated run's trace ID; the worker stamps it on its
 	// logs and echoes it in the completion report.
 	Trace string `json:"trace,omitempty"`
