@@ -1,6 +1,6 @@
 // Package repro's root benchmark harness: one benchmark per figure of the
 // paper's evaluation (the paper has no numeric tables), plus rendering and
-// scalability benches and the ablations called out in DESIGN.md. Run with
+// scalability benches and ablations. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -268,7 +268,7 @@ func benchRenderWorkers(b *testing.B, workers int) {
 func BenchmarkRenderSerial(b *testing.B)   { benchRenderWorkers(b, 1) }
 func BenchmarkRenderParallel(b *testing.B) { benchRenderWorkers(b, 4) }
 
-// --- Ablations called out in DESIGN.md ------------------------------------
+// --- Ablations ------------------------------------------------------------
 
 // Composite construction: sweep vs naive reference on a dense schedule.
 func compositeInput() *core.Schedule {

@@ -12,7 +12,7 @@
 // Any registered scheduler may join the comparison (campaign -list prints
 // the names). With -export, the worst corner case of each qualifying cell
 // is rerun and written as one Jedule XML file per algorithm, ready for
-// jeduleview or jedbook.
+// jedserve -dir (whose /view/{id} page is the interactive viewer) or jedbook.
 //
 // -shard k/n runs only the k-th of n partitions of the cell enumeration, so
 // several processes (or CI jobs) can split the factorial; -out streams every

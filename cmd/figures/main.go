@@ -1,8 +1,7 @@
 // Command figures regenerates every figure of the paper's evaluation into
 // an output directory (PNG by default, plus the Figure 6 DOT file), and
 // prints the quantitative findings behind each figure — the repository's
-// experiment harness in executable form. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// experiment harness in executable form.
 //
 // Usage:
 //

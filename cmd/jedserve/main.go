@@ -2,7 +2,10 @@
 // sessions of the multi-session REST API: every *.jed, *.xml, and *.csv
 // file directly inside -dir becomes one session, named after the file. New
 // sessions can still be created over HTTP, by uploading documents or by
-// running any registered scheduler server-side.
+// running any registered scheduler server-side. GET /view/{id} is the
+// interactive viewer of a session: zoom, pan, rubber-band zoom, task
+// details, cluster selection, recolor, reread and export, with the whole
+// view state in the page URL.
 //
 // Usage:
 //
@@ -12,10 +15,12 @@
 // Endpoints (see the README's "HTTP API" section for the full table):
 //
 //	GET    /                          HTML session index
+//	GET    /view/{id}                 interactive viewer page (?op= applies a gesture)
 //	GET    /api/v1/sessions           list sessions
 //	POST   /api/v1/sessions           create (XML/CSV upload or JSON generate)
 //	GET    /api/v1/sessions/{id}/render?format=png|svg|pdf&window=&clusters=...
 //	GET    /api/v1/sessions/{id}/stats|tasks|meta|export
+//	POST   /api/v1/sessions/{id}/reread  re-read a -dir session's file
 //	DELETE /api/v1/sessions/{id}
 //	POST   /api/v1/campaigns          launch an async campaign (/api/v1/jobs is an alias)
 //	GET    /api/v1/campaigns/{id}     poll; DELETE cancels; /result once done

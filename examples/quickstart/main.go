@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("makespan %.2f s, utilization %.1f%%, idle %.2f host-seconds\n",
 		st.Makespan, 100*st.Utilization, st.IdleArea)
 
-	// Persist as Jedule XML (re-loadable by cmd/jedule and cmd/jeduleview).
+	// Persist as Jedule XML (re-loadable by cmd/jedule and cmd/jedserve -dir).
 	if err := jedxml.WriteFile("quickstart.jed", s); err != nil {
 		log.Fatal(err)
 	}

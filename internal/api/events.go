@@ -39,10 +39,16 @@ func (s *Server) SetEventHeartbeat(d time.Duration) {
 	}
 }
 
-// parseEventFilter builds the bus filter from the query string.
+// parseEventFilter builds the bus filter from the query string; an unknown
+// parameter is refused, so a misspelt filter does not stream every topic.
 func parseEventFilter(r *http.Request) (events.Filter, error) {
 	var f events.Filter
 	q := r.URL.Query()
+	for name := range q {
+		if name != "topic" && name != "job" && name != "campaign" && name != "last_event_id" {
+			return f, fmt.Errorf("unknown parameter %q (want topic, job, campaign or last_event_id)", name)
+		}
+	}
 	if raw := q.Get("topic"); raw != "" {
 		for _, t := range strings.Split(raw, ",") {
 			topic := events.Topic(strings.TrimSpace(t))

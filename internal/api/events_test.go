@@ -196,9 +196,15 @@ func TestEventStreamReplay(t *testing.T) {
 // TestEventStreamBadFilter asserts the structured envelope on a bogus topic.
 func TestEventStreamBadFilter(t *testing.T) {
 	ts, _ := newTestAPI(t)
-	status, code, _ := getError(t, ts.URL+"/api/v1/events?topic=bogus")
-	if status != 400 || code != "bad_filter" {
-		t.Fatalf("bad topic = %d %q", status, code)
+	for _, query := range []string{
+		"topic=bogus",
+		"topics=job",          // misspelt: must not stream every topic
+		"campaign=j1&jobs=j1", // one known, one unknown
+	} {
+		status, code, _ := getError(t, ts.URL+"/api/v1/events?"+query)
+		if status != 400 || code != "bad_filter" {
+			t.Errorf("?%s = %d %q, want 400 bad_filter", query, status, code)
+		}
 	}
 }
 

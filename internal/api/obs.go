@@ -40,6 +40,9 @@ func routeLabel(r *http.Request) string {
 	if strings.HasPrefix(p, "/debug/pprof/") {
 		return "/debug/pprof/"
 	}
+	if id, ok := strings.CutPrefix(p, "/view/"); ok && id != "" && !strings.Contains(id, "/") {
+		return "/view/{id}"
+	}
 	if !strings.HasPrefix(p, "/api/v1/") {
 		return "other"
 	}
@@ -58,7 +61,7 @@ func routeLabel(r *http.Request) string {
 		case 3:
 			sub := seg[2]
 			valid := map[string]map[string]bool{
-				"sessions":  {"render": true, "export": true, "stats": true, "tasks": true, "meta": true},
+				"sessions":  {"render": true, "export": true, "stats": true, "tasks": true, "meta": true, "reread": true},
 				"jobs":      {"result": true},
 				"campaigns": {"result": true},
 				"workers":   {"heartbeat": true, "lease": true, "complete": true, "drain": true},

@@ -120,6 +120,10 @@ func TestRouteLabel(t *testing.T) {
 		"/api/v1/sessions/s123":        "/api/v1/sessions/{id}",
 		"/api/v1/sessions/s999/render": "/api/v1/sessions/{id}/render",
 		"/api/v1/sessions/s1/export":   "/api/v1/sessions/{id}/export",
+		"/api/v1/sessions/s1/reread":   "/api/v1/sessions/{id}/reread",
+		"/view/s1":                     "/view/{id}",
+		"/view/":                       "other",
+		"/view/s1/extra":               "other",
 		"/api/v1/sessions/s1/bogus":    "other",
 		"/api/v1/jobs/j42":             "/api/v1/jobs/{id}",
 		"/api/v1/jobs/j42/result":      "/api/v1/jobs/{id}/result",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -20,8 +21,8 @@ const (
 	defaultW, defaultH = 1000, 600
 )
 
-// viewParams is the fully-negotiated, per-request view state: everything
-// the old mutable Viewport held, derived from query parameters instead.
+// viewParams is the fully-negotiated, per-request view state: the whole
+// state of the interactive view (viewer.go), derived from query parameters.
 type viewParams struct {
 	Width, Height int
 	Opts          render.Options
@@ -31,6 +32,10 @@ type viewParams struct {
 	// so lod=1, lod=true, and a matching server default share validators —
 	// and a restart with a different default cannot serve stale 304s.
 	LODSet bool
+	// Gray selects the grayscale map; Colors (colors=, canonical form)
+	// recolors task types on top of it.
+	Gray   bool
+	Colors string
 }
 
 // parseViewParams derives render options from a request's query parameters.
@@ -89,7 +94,6 @@ func parseViewParams(q url.Values) (*viewParams, error) {
 		}
 	}
 
-	var gray bool
 	for _, b := range []struct {
 		name string
 		dst  *bool
@@ -98,7 +102,7 @@ func parseViewParams(q url.Values) (*viewParams, error) {
 		{"composites", &vp.Opts.Composites},
 		{"legend", &vp.Opts.Legend},
 		{"meta", &vp.Opts.ShowMeta},
-		{"gray", &gray},
+		{"gray", &vp.Gray},
 		{"lod", &vp.Opts.LOD},
 	} {
 		if err := boolParam(q, b.name, b.dst); err != nil {
@@ -106,11 +110,50 @@ func parseViewParams(q url.Values) (*viewParams, error) {
 		}
 	}
 	vp.LODSet = q.Get("lod") != ""
-	if gray {
-		vp.Opts.Map = colormap.Default().Grayscale()
+	var recolor map[string]colormap.Colors
+	if raw := q.Get("colors"); raw != "" {
+		if recolor, vp.Colors, err = parseColors(raw); err != nil {
+			return nil, err
+		}
+	}
+	if vp.Gray || recolor != nil {
+		m := colormap.Default()
+		if vp.Gray {
+			m = m.Grayscale()
+		}
+		for typ, c := range recolor {
+			m.SetType(typ, c)
+		}
+		vp.Opts.Map = m
 	}
 	vp.Opts.Title = q.Get("title")
 	return vp, nil
+}
+
+// parseColors reads colors=type:bg[:fg];... (hex, fg black when absent,
+// each type once) and its canonical form — entries sorted, lower-case hex —
+// so every spelling of one recoloring shares an ETag.
+func parseColors(raw string) (map[string]colormap.Colors, string, error) {
+	byType := map[string]colormap.Colors{}
+	var canon []string
+	for _, entry := range strings.Split(raw, ";") {
+		parts := strings.Split(entry, ":")
+		if _, dup := byType[parts[0]]; dup || len(parts) < 2 || len(parts) > 3 || parts[0] == "" {
+			return nil, "", fmt.Errorf("bad colors entry %q (want type:rrggbb[:rrggbb], each type once)", entry)
+		}
+		c := colormap.Colors{FG: colormap.RGB(0, 0, 0)}
+		var err error
+		if c.BG, err = colormap.ParseRGB(parts[1]); err == nil && len(parts) == 3 {
+			c.FG, err = colormap.ParseRGB(parts[2])
+		}
+		if err != nil {
+			return nil, "", fmt.Errorf("bad colors entry %q: %v", entry, err)
+		}
+		byType[parts[0]] = c
+		canon = append(canon, parts[0]+":"+colormap.FormatRGB(c.BG)+":"+colormap.FormatRGB(c.FG))
+	}
+	sort.Strings(canon)
+	return byType, strings.Join(canon, ";"), nil
 }
 
 func intParam(q url.Values, name string, def int) (int, error) {

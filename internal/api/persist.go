@@ -114,7 +114,7 @@ func (st *Store) HydrationFailures() int64 { return st.hydrationFailed.Load() }
 func (st *Store) PersistErrors() int64 { return st.persistErrors.Load() }
 
 // persistSession journals one session descriptor durably. A session without
-// a recipe (viewer sessions, Replace'd schedules) is persisted as a
+// a recipe (one added in-process by Add) is persisted as a
 // canonical Jedule XML document recipe so it survives verbatim. Best-effort:
 // a failed write is counted, not propagated — the session stays live.
 func (st *Store) persistSession(s *Session) {
@@ -154,8 +154,24 @@ func (st *Store) persistSession(s *Session) {
 	}
 }
 
+// persistedRev returns the revision a previous process journaled for the
+// file session id read from the same path, or 0: a reread file session
+// keeps its revision, and so its ETags, across a restart.
+func (st *Store) persistedRev(id string, rec *Recipe) int64 {
+	ps := st.persistStore()
+	if ps == nil || rec == nil || rec.Kind != "file" {
+		return 0
+	}
+	var old sessionRecord
+	if raw, ok, err := ps.Get("sessions", id); err != nil || !ok || json.Unmarshal(raw, &old) != nil ||
+		old.Recipe == nil || old.Recipe.Kind != "file" || old.Recipe.Path != rec.Path {
+		return 0
+	}
+	return old.Rev
+}
+
 // dropPersisted removes the descriptors of sessions that left the store for
-// good (Delete, LRU eviction, TTL expiry) — not of Replace'd ones.
+// good (Delete, LRU eviction, TTL expiry) — not of reread ones.
 func (st *Store) dropPersisted(ids ...string) {
 	ps := st.persistStore()
 	if ps == nil || len(ids) == 0 {

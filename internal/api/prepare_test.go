@@ -1,6 +1,8 @@
 package api
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -75,35 +77,53 @@ func TestInvalidScheduleNeverRenders(t *testing.T) {
 	}
 }
 
-// TestReplaceSwitchesValidity swaps valid → invalid → valid and asserts
-// each revision is judged on its own, freshly prepared.
+// TestReplaceSwitchesValidity rereads a file session through a valid, an
+// invalid and another valid file: each accepted revision is judged on its
+// own, freshly prepared, and an invalid file never replaces the schedule.
 func TestReplaceSwitchesValidity(t *testing.T) {
 	ts, store := newTestAPI(t)
-	sess := store.Add("flip", "upload", demoSchedule())
+	sess, _ := fileSession(t, store, demoSchedule())
 	url := ts.URL + "/api/v1/sessions/" + sess.ID + "/render?width=200&height=100"
+	path := sess.recipe.Path
+	grown := demoSchedule()
+	grown.Add("t4", "computation", 120, 150, 0, 8)
+	// A document the writer would refuse: cluster 0 with no hosts.
+	invalid := strings.Replace(xmlBody(t, demoSchedule()).String(), `hosts="8"`, `hosts="0"`, 1)
 	seen := map[*prepared]bool{}
 	for i, step := range []struct {
-		sched *core.Schedule
-		want  int
+		doc    string
+		reread int // status of POST .../reread; 0 = no reread
 	}{
-		{nil, 200},
-		{invalidSchedule(), 500},
-		{demoSchedule(), 200},
+		{"", 0},
+		{invalid, 422},
+		{xmlBody(t, grown).String(), 200},
 	} {
-		if step.sched != nil {
-			sess.Replace(step.sched)
+		before := sessionPrep(sess)
+		if step.doc != "" {
+			if err := os.WriteFile(path, []byte(step.doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if status, body := doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+sess.ID+"/reread", nil, ""); status != step.reread {
+				t.Fatalf("step %d: reread = %d %v, want %d", i, status, body, step.reread)
+			}
 		}
-		if status, code, _ := renderStatus(t, url); status != step.want {
-			t.Fatalf("step %d: render = %d %q, want %d", i, status, code, step.want)
+		if status, code, _ := renderStatus(t, url); status != 200 {
+			t.Fatalf("step %d: render = %d %q, want 200", i, status, code)
 		}
 		p := sessionPrep(sess)
-		if seen[p] {
-			t.Fatalf("step %d: Replace kept the previous revision's preparation", i)
+		switch {
+		case step.reread == 422 && p != before:
+			t.Fatalf("step %d: a refused reread replaced the preparation", i)
+		case step.reread != 422 && seen[p]:
+			t.Fatalf("step %d: Reread kept the previous revision's preparation", i)
 		}
 		seen[p] = true
-		if (p.err == nil) != (step.want == 200) || (p.idx != nil) != (step.want == 200) {
+		if p.err != nil || p.idx == nil {
 			t.Fatalf("step %d: prepared = %+v", i, p)
 		}
+	}
+	if got := sess.Schedule(); len(got.Tasks) != 4 {
+		t.Fatalf("schedule after rereads has %d tasks, want 4", len(got.Tasks))
 	}
 }
 

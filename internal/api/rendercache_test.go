@@ -353,7 +353,8 @@ func TestConcurrentIdenticalRenders(t *testing.T) {
 func TestCacheInvalidationOnSessionChange(t *testing.T) {
 	ts, srv := newTestServer(t)
 	store := srv.Store()
-	id := createUpload(t, ts, "invalidate")
+	sess, reread := fileSession(t, store, demoSchedule())
+	id := sess.ID
 	url := ts.URL + "/api/v1/sessions/" + id + "/render?width=300&height=200"
 
 	warm := func() {
@@ -377,21 +378,20 @@ func TestCacheInvalidationOnSessionChange(t *testing.T) {
 		return n
 	}
 
-	// Replace purges.
+	// Reread purges.
 	warm()
 	if entriesFor(id) != 1 {
-		t.Fatalf("entries before replace = %d", entriesFor(id))
+		t.Fatalf("entries before reread = %d", entriesFor(id))
 	}
-	sess, _ := store.Get(id)
-	sess.Replace(demoSchedule())
+	reread(demoSchedule())
 	if entriesFor(id) != 0 {
-		t.Fatal("replace left cached bodies")
+		t.Fatal("reread left cached bodies")
 	}
 
 	// Delete purges.
 	warm()
 	if entriesFor(id) != 1 {
-		t.Fatal("warm after replace failed")
+		t.Fatal("warm after reread failed")
 	}
 	store.Delete(id)
 	if entriesFor(id) != 0 {

@@ -191,12 +191,12 @@ func (s *Server) RecoveredJobs() RecoverStats { return s.recovered }
 // from GET /api/v1/meta).
 func (s *Server) RenderCacheStats() renderCacheStats { return s.cache.Stats() }
 
-// Handler returns the API routes. The legacy viewer mounts this under
-// /api/v1/ next to its own pages; jedserve serves it directly, in which
-// case / is a minimal HTML session index.
+// Handler returns the API routes, plus the two HTML pages: / lists the
+// sessions and /view/{id} is the interactive viewer of one (viewer.go).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{$}", s.index)
+	mux.HandleFunc("GET /view/{id}", s.view)
 	mux.HandleFunc("GET /api/v1/schedulers", s.schedulers)
 	mux.HandleFunc("GET /api/v1/meta", s.serverMeta)
 	mux.HandleFunc("GET "+metricsPath, s.metricsHandler)
@@ -210,6 +210,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/sessions/{id}/stats", s.stats)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/tasks", s.tasks)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/meta", s.meta)
+	mux.HandleFunc("POST /api/v1/sessions/{id}/reread", s.reread)
 	for _, base := range []string{"/api/v1/campaigns", "/api/v1/jobs"} {
 		mux.HandleFunc("POST "+base, s.createCampaign)
 		mux.HandleFunc("GET "+base, s.listCampaigns)
@@ -511,6 +512,11 @@ func (s *Server) encodeImage(w http.ResponseWriter, r *http.Request, download bo
 	// now render differently.
 	q := r.URL.Query()
 	q.Set("lod", strconv.FormatBool(vp.Opts.LOD))
+	if vp.Colors != "" {
+		// Every spelling of one recoloring shares a validator; a query
+		// without colors= hashes as it did before colors= existed.
+		q.Set("colors", vp.Colors)
+	}
 	etag := etagFor(sess, q)
 	if handleConditional(w, r, etag) {
 		return
@@ -785,7 +791,8 @@ func (s *Server) meta(w http.ResponseWriter, r *http.Request) {
 }
 
 // index is the minimal HTML landing page of a standalone API server
-// (jedserve): one row per session with links into the REST surface.
+// (jedserve): one row per session with its viewer page and links into the
+// REST surface.
 func (s *Server) index(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, "<!DOCTYPE html>\n<html><head><title>jedule sessions</title></head><body>\n")
@@ -798,8 +805,8 @@ func (s *Server) index(w http.ResponseWriter, _ *http.Request) {
 		}
 		base := "/api/v1/sessions/" + in.ID
 		fmt.Fprintf(w,
-			`<li>%s (%d tasks, %d hosts, makespan %g): <a href="%s/render">png</a> <a href="%s/render?format=svg">svg</a> <a href="%s/stats">stats</a> <a href="%s/export?format=jedule">jedule</a></li>`+"\n",
-			html.EscapeString(label), in.Tasks, in.Hosts, in.Makespan, base, base, base, base)
+			`<li>%s (%d tasks, %d hosts, makespan %g): <a href="/view/%s">view</a> <a href="%s/render">png</a> <a href="%s/render?format=svg">svg</a> <a href="%s/stats">stats</a> <a href="%s/export?format=jedule">jedule</a></li>`+"\n",
+			html.EscapeString(label), in.Tasks, in.Hosts, in.Makespan, in.ID, base, base, base, base)
 	}
 	fmt.Fprint(w, "</ul>\n</body></html>\n")
 }

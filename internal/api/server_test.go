@@ -494,7 +494,8 @@ func TestSchedulersEndpoint(t *testing.T) {
 // replaced.
 func TestRenderETag(t *testing.T) {
 	ts, store := newTestAPI(t)
-	id := createUpload(t, ts, "demo")
+	sess, reread := fileSession(t, store, demoSchedule())
+	id := sess.ID
 	url := ts.URL + "/api/v1/sessions/" + id + "/render?width=200&height=150&gray=1"
 
 	get := func(u, ifNoneMatch string) *http.Response {
@@ -549,12 +550,11 @@ func TestRenderETag(t *testing.T) {
 		t.Fatalf("different params: %d, etag %q", other.StatusCode, other.Header.Get("ETag"))
 	}
 
-	// Replacing the schedule bumps the revision and invalidates.
-	sess, _ := store.Get(id)
-	sess.Replace(demoSchedule())
+	// Rereading the schedule bumps the revision and invalidates.
+	reread(demoSchedule())
 	resp = get(url, etag)
 	if resp.StatusCode != 200 || resp.Header.Get("ETag") == etag {
-		t.Fatalf("after replace: %d, etag %q", resp.StatusCode, resp.Header.Get("ETag"))
+		t.Fatalf("after reread: %d, etag %q", resp.StatusCode, resp.Header.Get("ETag"))
 	}
 
 	// Export carries ETags too, including the jedule document form.

@@ -19,6 +19,7 @@
 package api
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -33,23 +34,23 @@ import (
 )
 
 // Session is one schedule held by the server. The schedule pointer is
-// swapped atomically under the session lock (Replace supports the legacy
-// viewer's reread), and the core.Schedule itself is treated as read-only by
-// every API handler, so concurrent renders need no further coordination.
+// swapped atomically under the session lock (Reread), and the
+// core.Schedule itself is treated as read-only by every API handler, so
+// concurrent renders need no further coordination.
 type Session struct {
 	ID     string
 	Name   string
-	Source string // "upload", "generated", "file", "viewer"
+	Source string // "upload", "generated", "file"
 
 	mu      sync.RWMutex
 	sched   *core.Schedule // nil for a recovered session until first access
 	prep    *prepared      // render preparation of sched; swapped together with it
-	rev     int64          // bumped by Replace; part of the ETag of stateless reads
+	rev     int64          // bumped by Reread; part of the ETag of stateless reads
 	fp      uint64         // content fingerprint of the schedule, computed on swap
 	summary Summary        // cached schedule shape, served by list/info reads
 	recipe  *Recipe        // rebuilds sched after a restart; nil = synthesized on persist
 
-	store      *Store       // owning store; drop notifications on Replace
+	store      *Store       // owning store; drop notifications on Reread
 	lastUse    atomic.Int64 // store clock tick of the last Get (LRU eviction)
 	lastAccess atomic.Int64 // wall-clock nanos of the last Get (TTL expiry)
 }
@@ -126,11 +127,11 @@ type prepared struct {
 
 // ScheduleWithIndex returns the current schedule together with its render
 // task index and its validation result. The first call after a schedule is
-// stored (Add, Put, Replace, or hydration after a restart) validates it and,
+// stored (Add, PutRecipe, Reread, or hydration after a restart) validates it and,
 // when valid, builds the index; concurrent first callers share that one
 // computation and every later call reuses it. A non-nil error means the
 // schedule must not be rendered. The returned triple is always consistent:
-// a concurrent Replace never pairs one schedule with another's index.
+// a concurrent Reread never pairs one schedule with another's index.
 func (s *Session) ScheduleWithIndex() (*core.Schedule, *render.TaskIndex, error) {
 	if err := s.ensureHydrated(); err != nil {
 		return &core.Schedule{}, nil, err
@@ -146,9 +147,23 @@ func (s *Session) ScheduleWithIndex() (*core.Schedule, *render.TaskIndex, error)
 	return sched, p.idx, p.err
 }
 
-// Replace swaps in a new schedule (the viewer's fast-reread path) and bumps
-// the revision, invalidating cached renders of the old schedule.
-func (s *Session) Replace(sched *core.Schedule) {
+var errNotFileBacked = errors.New("session is not file-backed")
+
+// Reread re-reads the file of a file-backed session (jedserve -dir), the
+// paper's fast reread: the session keeps its recipe and bumps its revision,
+// so its ETags and cached renders turn over. A file that does not read
+// leaves the session unchanged.
+func (s *Session) Reread() error {
+	s.mu.RLock()
+	rec := s.recipe
+	s.mu.RUnlock()
+	if rec == nil || rec.Kind != "file" {
+		return errNotFileBacked
+	}
+	sched, err := ReadScheduleFile(rec.Path)
+	if err != nil {
+		return err
+	}
 	fp := fingerprintOf(sched)
 	sum := summaryOf(sched)
 	s.mu.Lock()
@@ -156,7 +171,6 @@ func (s *Session) Replace(sched *core.Schedule) {
 	s.prep = &prepared{}
 	s.fp = fp
 	s.summary = sum
-	s.recipe = nil // the old recipe describes the old schedule
 	s.rev++
 	s.mu.Unlock()
 	if s.store != nil {
@@ -164,9 +178,10 @@ func (s *Session) Replace(sched *core.Schedule) {
 		s.store.notifyDrop(s.ID)
 		s.store.notifyEvent("replaced", s.ID)
 	}
+	return nil
 }
 
-// Revision counts how often the session's schedule was replaced.
+// Revision counts how often the session's schedule was reread.
 func (s *Session) Revision() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -216,7 +231,7 @@ func NewStore() *Store {
 
 // OnDrop registers fn to be called with the ID of every session that leaves
 // the store — explicit Delete, LRU eviction, TTL expiry — and of every
-// session whose schedule is swapped by Replace. The render cache hooks in
+// session whose schedule is swapped by Reread. The render cache hooks in
 // here to invalidate memoized bodies. fn must not call back into the store.
 func (st *Store) OnDrop(fn func(sessionID string)) {
 	st.mu.Lock()
@@ -395,9 +410,9 @@ func (st *Store) AddRecipe(name, source string, sched *core.Schedule, rec *Recip
 		st.seq++
 		id := fmt.Sprintf("s%d", st.seq)
 		if _, taken := st.sessions[id]; taken {
-			continue // an explicit Put used the ID; keep counting
+			continue // an explicit PutRecipe used the ID; keep counting
 		}
-		s := st.putLocked(id, name, source, sched, rec)
+		s := st.putLocked(id, name, source, sched, rec, 0)
 		dropped := st.evictLocked()
 		st.mu.Unlock()
 		st.persistSession(s)
@@ -409,24 +424,20 @@ func (st *Store) AddRecipe(name, source string, sched *core.Schedule, rec *Recip
 	}
 }
 
-// Put registers a schedule under an explicit ID (pre-registered sessions:
-// the legacy viewer's "default", jedserve's per-file sessions). It fails on
-// an empty or already-taken ID.
-func (st *Store) Put(id, name, source string, sched *core.Schedule) (*Session, error) {
-	return st.PutRecipe(id, name, source, sched, nil)
-}
-
-// PutRecipe is Put with an explicit persistence recipe (see AddRecipe).
+// PutRecipe registers a schedule under an explicit ID (pre-registered
+// sessions, such as jedserve's per-file sessions), with a persistence
+// recipe as AddRecipe takes. It fails on an empty or already-taken ID.
 func (st *Store) PutRecipe(id, name, source string, sched *core.Schedule, rec *Recipe) (*Session, error) {
 	if id == "" {
 		return nil, fmt.Errorf("api: empty session id")
 	}
+	rev := st.persistedRev(id, rec)
 	st.mu.Lock()
 	if _, taken := st.sessions[id]; taken {
 		st.mu.Unlock()
 		return nil, fmt.Errorf("api: session %q already exists", id)
 	}
-	s := st.putLocked(id, name, source, sched, rec)
+	s := st.putLocked(id, name, source, sched, rec, rev)
 	dropped := st.evictLocked()
 	st.mu.Unlock()
 	st.persistSession(s)
@@ -437,9 +448,9 @@ func (st *Store) PutRecipe(id, name, source string, sched *core.Schedule, rec *R
 	return s, nil
 }
 
-func (st *Store) putLocked(id, name, source string, sched *core.Schedule, rec *Recipe) *Session {
+func (st *Store) putLocked(id, name, source string, sched *core.Schedule, rec *Recipe, rev int64) *Session {
 	s := &Session{
-		ID: id, Name: name, Source: source,
+		ID: id, Name: name, Source: source, rev: rev,
 		sched: sched, prep: &prepared{}, fp: fingerprintOf(sched), summary: summaryOf(sched),
 		recipe: rec, store: st,
 	}

@@ -4,12 +4,38 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jedxml"
 )
+
+// fileSession registers sched as a file-backed session, the kind that
+// rereads its schedule; reread rewrites the file with next and rereads it.
+func fileSession(t *testing.T, st *Store, sched *core.Schedule) (sess *Session, reread func(next *core.Schedule)) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.jed")
+	if err := jedxml.WriteFile(path, sched); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := RegisterFile(st, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, func(next *core.Schedule) {
+		t.Helper()
+		if err := jedxml.WriteFile(path, next); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := sess.Reread(); err != nil {
+			t.Error(err)
+		}
+	}
+}
 
 func demoSchedule() *core.Schedule {
 	s := core.New(
@@ -35,14 +61,14 @@ func TestStoreLifecycle(t *testing.T) {
 	if a.ID != "s1" {
 		t.Fatalf("generated id = %q", a.ID)
 	}
-	b, err := st.Put("named", "second", "file", demoSchedule())
+	b, err := st.PutRecipe("named", "second", "file", demoSchedule(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Put("named", "dup", "file", demoSchedule()); err == nil {
+	if _, err := st.PutRecipe("named", "dup", "file", demoSchedule(), nil); err == nil {
 		t.Fatal("duplicate Put should fail")
 	}
-	if _, err := st.Put("", "x", "file", demoSchedule()); err == nil {
+	if _, err := st.PutRecipe("", "x", "file", demoSchedule(), nil); err == nil {
 		t.Fatal("empty id should fail")
 	}
 	got, ok := st.Get("named")
@@ -65,7 +91,7 @@ func TestStoreLifecycle(t *testing.T) {
 // in the generated namespace must not be handed out twice.
 func TestStoreGeneratedIDSkipsTaken(t *testing.T) {
 	st := NewStore()
-	if _, err := st.Put("s1", "taken", "file", demoSchedule()); err != nil {
+	if _, err := st.PutRecipe("s1", "taken", "file", demoSchedule(), nil); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Add("auto", "upload", demoSchedule())
@@ -144,12 +170,12 @@ func TestStoreEvictionUnderConcurrency(t *testing.T) {
 
 func TestSessionRevision(t *testing.T) {
 	st := NewStore()
-	sess := st.Add("demo", "upload", demoSchedule())
+	sess, reread := fileSession(t, st, demoSchedule())
 	if sess.Revision() != 0 {
 		t.Fatalf("fresh revision = %d", sess.Revision())
 	}
-	sess.Replace(demoSchedule())
-	sess.Replace(demoSchedule())
+	reread(demoSchedule())
+	reread(demoSchedule())
 	if sess.Revision() != 2 {
 		t.Fatalf("revision = %d, want 2", sess.Revision())
 	}
@@ -162,7 +188,7 @@ func TestSessionRevision(t *testing.T) {
 func TestFingerprintSurvivesRestart(t *testing.T) {
 	put := func(s *core.Schedule) *Session {
 		st := NewStore()
-		sess, err := st.Put("file-a", "a.jed", "file", s)
+		sess, err := st.PutRecipe("file-a", "a.jed", "file", s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,6 +261,7 @@ func TestStoreConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
+		file, reread := fileSession(t, st, demoSchedule())
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
@@ -244,8 +271,8 @@ func TestStoreConcurrent(t *testing.T) {
 					return
 				}
 				st.List()
-				sess.Replace(demoSchedule())
-				_ = sess.Schedule().Extent()
+				reread(demoSchedule())
+				_ = file.Schedule().Extent()
 				if j%2 == 0 {
 					st.Delete(sess.ID)
 				}
@@ -253,8 +280,8 @@ func TestStoreConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if st.Len() != 16*25 {
-		t.Fatalf("Len = %d, want %d", st.Len(), 16*25)
+	if st.Len() != 16*25+16 {
+		t.Fatalf("Len = %d, want %d", st.Len(), 16*25+16)
 	}
 }
 
@@ -392,8 +419,8 @@ func TestSessionReplaceNotifiesDrop(t *testing.T) {
 		dropped = append(dropped, id)
 		mu.Unlock()
 	})
-	sess := st.Add("a", "upload", demoSchedule())
-	sess.Replace(demoSchedule())
+	sess, reread := fileSession(t, st, demoSchedule())
+	reread(demoSchedule())
 	mu.Lock()
 	defer mu.Unlock()
 	if len(dropped) != 1 || dropped[0] != sess.ID {

@@ -5,9 +5,9 @@
 //
 // where code is a stable machine-readable string (session_not_found,
 // rate_limited, campaign_header_mismatch, ...), message is human-readable,
-// and detail is optional context. Writers across internal/api, internal/
-// fleet, and internal/view all go through Write, so the contract cannot
-// drift between subsystems; clients go through Decode.
+// and detail is optional context. Writers across internal/api and
+// internal/fleet all go through Write, so the contract cannot drift
+// between subsystems; clients go through Decode.
 package apierr
 
 import (

@@ -1,9 +1,7 @@
 // Package figures regenerates every figure of the paper's evaluation. Each
 // FigN function builds the exact scenario of the corresponding figure and
 // returns the schedule(s) to render; the cmd/figures binary writes them to
-// image files and the root benchmark harness measures them. DESIGN.md maps
-// each figure to the modules exercised here, and EXPERIMENTS.md records the
-// paper-vs-measured outcome.
+// image files and the root benchmark harness measures them.
 package figures
 
 import (
