@@ -575,6 +575,29 @@ func BenchmarkRender1MLODFull(b *testing.B) {
 	}
 }
 
+// BenchmarkRender1MEncodePNG: the PNG encode of a finished 1200x800 frame
+// of the 1M-task trace, the stage an uncached /render waits on after
+// rasterization, for the bird's-eye view and the deep zoom.
+func BenchmarkRender1MEncodePNG(b *testing.B) {
+	s, idx, win := schedule1M()
+	for _, v := range []struct {
+		name   string
+		window *core.Extent
+	}{{"full", nil}, {"zoom", &win}} {
+		b.Run(v.name, func(b *testing.B) {
+			c := raster.New(1200, 800)
+			render.Render(c, s, render.Options{Index: idx, Window: v.window, LOD: true, Labels: true})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.EncodePNG(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScanSWF1M: streaming parse of a million-job SWF trace; the
 // allocs/op column is the O(1)-allocations-per-job acceptance criterion.
 func BenchmarkScanSWF1M(b *testing.B) {

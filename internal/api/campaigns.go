@@ -248,9 +248,9 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_spec", "%v", err)
 		return
 	}
-	s.submitCampaign(rec)
+	info := s.submitCampaign(rec)
 	w.Header().Set("Location", r.URL.Path+"/"+rec.id)
-	writeJSON(w, http.StatusAccepted, s.campaignInfoOf(rec))
+	writeJSON(w, http.StatusAccepted, info)
 }
 
 // campaignRecordOf resolves {id} to a campaign.

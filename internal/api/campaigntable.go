@@ -204,9 +204,10 @@ func (t *campaignTable) pruneLocked() []string {
 }
 
 // submitCampaign files a new campaign, whose coordinator newCampaign
-// built, under the next ID and starts it. After Close it is failed at once
-// and neither runs nor is journaled.
-func (s *Server) submitCampaign(rec *campaignRecord) {
+// built, under the next ID and starts it, and returns its state as filed:
+// a campaign may finish before the submitter answers. After Close it is
+// failed at once and neither runs nor is journaled.
+func (s *Server) submitCampaign(rec *campaignRecord) campaignInfo {
 	t := s.campaigns
 	t.mu.Lock()
 	t.seq++
@@ -219,15 +220,17 @@ func (s *Server) submitCampaign(rec *campaignRecord) {
 		t.mu.Unlock()
 		close(rec.finished)
 		s.publishJob(rec, stateFailed)
-		return
+		return s.campaignInfoOf(rec)
 	}
 	evicted := t.pruneLocked()
 	t.runs.Add(1)
 	t.mu.Unlock()
+	info := s.campaignInfoOf(rec)
 	s.journal(rec, false)
 	s.publishJob(rec, "submitted")
 	s.evict(evicted)
 	go s.runCampaign(rec, false)
+	return info
 }
 
 // runCampaign is a campaign's goroutine: wait for a run slot, run the

@@ -21,7 +21,7 @@ func launchJob(t *testing.T, ts *httptest.Server, spec string) string {
 	if code != 202 {
 		t.Fatalf("create job = %d %v", code, info)
 	}
-	if info["state"] != "pending" && info["state"] != "running" {
+	if info["state"] != "pending" { // the state as filed, however fast it runs
 		t.Fatalf("initial state = %v", info["state"])
 	}
 	return info["id"].(string)

@@ -8,6 +8,7 @@ import (
 	"html"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -438,19 +439,20 @@ func readUpload(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // view (format, size, window, clusters, mode, grayscale, ...) comes from
 // query parameters, so concurrent readers never interfere.
 func (s *Server) render(w http.ResponseWriter, r *http.Request) {
-	s.encodeImage(w, r, false)
+	if sess, q, ok := s.viewRequest(w, r); ok {
+		s.encodeImage(w, r, sess, q, false)
+	}
 }
 
 // export is render with an attachment disposition, plus the document
 // formats "jedule" (XML) for a lossless round trip of the session.
 func (s *Server) export(w http.ResponseWriter, r *http.Request) {
-	format := imageFormat(r)
-	if format == "jedule" || format == "xml" {
-		sess, ok := s.session(w, r)
-		if !ok {
-			return
-		}
-		if handleConditional(w, r, etagFor(sess, r.URL.Query())) {
+	sess, q, ok := s.viewRequest(w, r)
+	if !ok {
+		return
+	}
+	if format := imageFormat(q); format == "jedule" || format == "xml" {
+		if handleConditional(w, r, etagFor(sess, q)) {
 			return
 		}
 		var buf bytes.Buffer
@@ -463,11 +465,28 @@ func (s *Server) export(w http.ResponseWriter, r *http.Request) {
 		buf.WriteTo(w) //nolint:errcheck
 		return
 	}
-	s.encodeImage(w, r, true)
+	s.encodeImage(w, r, sess, q, true)
 }
 
-func imageFormat(r *http.Request) string {
-	if f := r.URL.Query().Get("format"); f != "" {
+// viewRequest looks up the session of a view request and parses its query.
+// It parses RawQuery itself because Request.URL.Query silently drops a pair
+// written with a raw ';', so colors=a:ff0000;b:00ff00 would render and
+// validate as the plain view; such a query answers 400 instead.
+func (s *Server) viewRequest(w http.ResponseWriter, r *http.Request) (*Session, url.Values, bool) {
+	sess, ok := s.session(w, r)
+	if !ok {
+		return nil, nil, false
+	}
+	q, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_view_params", "%v", err)
+		return nil, nil, false
+	}
+	return sess, q, true
+}
+
+func imageFormat(q url.Values) string {
+	if f := q.Get("format"); f != "" {
 		return f
 	}
 	return "png"
@@ -482,12 +501,8 @@ func attachment(id, ext string) string {
 // The 200 body is memoized in the render cache under the same strong ETag
 // that anchors the 304 path, and concurrent identical requests collapse
 // into a single rasterization.
-func (s *Server) encodeImage(w http.ResponseWriter, r *http.Request, download bool) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	format := imageFormat(r)
+func (s *Server) encodeImage(w http.ResponseWriter, r *http.Request, sess *Session, q url.Values, download bool) {
+	format := imageFormat(q)
 	ct, ok := render.ContentType(format)
 	if !ok {
 		valid := render.EncodeFormats()
@@ -498,7 +513,7 @@ func (s *Server) encodeImage(w http.ResponseWriter, r *http.Request, download bo
 			format, strings.Join(valid, ", "))
 		return
 	}
-	vp, err := parseViewParams(r.URL.Query())
+	vp, err := parseViewParams(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_view_params", "%v", err)
 		return
@@ -510,7 +525,6 @@ func (s *Server) encodeImage(w http.ResponseWriter, r *http.Request, download bo
 	// and an equal server default collapse onto one validator, and a restart
 	// with a different -lod default cannot answer 304 for a body it would
 	// now render differently.
-	q := r.URL.Query()
 	q.Set("lod", strconv.FormatBool(vp.Opts.LOD))
 	if vp.Colors != "" {
 		// Every spelling of one recoloring shares a validator; a query
@@ -717,11 +731,10 @@ func taskToJSON(t *core.Task) taskJSON {
 // rendered view at that pixel (the REST form of the click-for-details
 // gesture) and returns the task there, or null over the background.
 func (s *Server) tasks(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
+	sess, q, ok := s.viewRequest(w, r)
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
 	if q.Get("x") != "" || q.Get("y") != "" {
 		x, err0 := strconv.ParseFloat(q.Get("x"), 64)
 		y, err1 := strconv.ParseFloat(q.Get("y"), 64)

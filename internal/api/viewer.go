@@ -198,11 +198,10 @@ func (vp *viewParams) query() url.Values {
 // view serves the page of a session's view, fitted to its schedule; with
 // op= it applies the gesture and redirects to the new view instead.
 func (s *Server) view(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
+	sess, q, ok := s.viewRequest(w, r)
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
 	vp, err := parseViewParams(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_view_params", "%v", err)

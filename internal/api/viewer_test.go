@@ -944,6 +944,39 @@ func TestColorsParam(t *testing.T) {
 	}
 }
 
+// TestViewQueryRawSemicolon: Go's default query parsing drops a pair
+// written with a raw ';', which served a raw-';' recolor as the plain view
+// under the plain view's ETag. Every route that parses the view refuses
+// it; the escaped form %3B recolors.
+func TestViewQueryRawSemicolon(t *testing.T) {
+	ts, _ := newTestAPI(t)
+	id := createUpload(t, ts, "demo")
+	base := ts.URL + "/api/v1/sessions/" + id
+	const raw = "colors=computation:00ff00;transfer:0000ff"
+	for _, u := range []string{
+		base + "/render?width=200&" + raw,
+		base + "/export?format=svg&" + raw,
+		base + "/export?format=jedule&" + raw,
+		base + "/tasks?x=1&y=1&" + raw,
+		ts.URL + "/view/" + id + "?" + raw,
+	} {
+		if status, code, _ := getError(t, u); status != 400 || code != "bad_view_params" {
+			t.Errorf("%s = %d %q, want 400 bad_view_params", u, status, code)
+		}
+	}
+	status, plainHdr, plain := rawGet(t, base+"/render?width=200")
+	if status != 200 {
+		t.Fatalf("plain render = %d", status)
+	}
+	status, hdr, body := rawGet(t, base+"/render?width=200&"+strings.ReplaceAll(raw, ";", "%3B"))
+	if status != 200 {
+		t.Fatalf("escaped recolor = %d", status)
+	}
+	if hdr.Get("ETag") == plainHdr.Get("ETag") || string(body) == string(plain) {
+		t.Fatal("an escaped ';' recolor answered the plain view")
+	}
+}
+
 // TestRereadSurvivesRestart: a reread file session comes back from a
 // restart with the same render ETag and body.
 func TestRereadSurvivesRestart(t *testing.T) {

@@ -24,6 +24,7 @@ package coord
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -236,7 +237,7 @@ func (c *Coordinator) Run(ctx context.Context, done []campaign.Cell) (*campaign.
 			c.mu.Unlock()
 			return nil, fmt.Errorf("coord: resumed cell %d outside the %d-cell factorial", cell.Index, len(c.specs))
 		}
-		c.cells[cell.Index] = cell
+		c.cells[cell.Index] = c.shareAlgos(cell)
 	}
 	c.cellsDone = len(c.cells)
 	c.mu.Unlock()
@@ -372,6 +373,7 @@ func (c *Coordinator) recordCells(k int, cells []campaign.Cell) error {
 		if _, ok := c.cells[cell.Index]; ok {
 			continue
 		}
+		cell = c.shareAlgos(cell)
 		c.cells[cell.Index] = cell
 		c.cellsDone++
 		fresh = append(fresh, cell)
@@ -386,6 +388,16 @@ func (c *Coordinator) recordCells(k int, cells []campaign.Cell) error {
 	}
 	c.logf("coord: shard %d/%d complete (%d cells, %d new)", k, c.shards, len(cells), len(fresh))
 	return nil
+}
+
+// shareAlgos points the cell's Algos at the campaign's own list when the
+// two are equal. Every cell decoded from a worker or a journal otherwise
+// keeps its own copy, and a finished campaign's result holds all of them.
+func (c *Coordinator) shareAlgos(cell campaign.Cell) campaign.Cell {
+	if slices.Equal(cell.Algos, c.ccfg.Algos) {
+		cell.Algos = c.ccfg.Algos
+	}
+	return cell
 }
 
 // setShardState applies one shard transition and fires the OnShard observer
@@ -404,7 +416,10 @@ func (c *Coordinator) setShardState(k int, mut func(*ShardProgress)) {
 // and verifies it is complete.
 func (c *Coordinator) result() (*campaign.Result, error) {
 	c.mu.Lock()
-	res := &campaign.Result{Algos: append([]string(nil), c.ccfg.Algos...)}
+	res := &campaign.Result{
+		Algos: append([]string(nil), c.ccfg.Algos...),
+		Cells: make([]campaign.Cell, 0, len(c.cells)),
+	}
 	for _, cell := range c.cells {
 		res.Cells = append(res.Cells, cell)
 	}

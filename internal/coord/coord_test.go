@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -392,6 +393,37 @@ func TestCheckpointAndResume(t *testing.T) {
 	}
 	if _, err := c2.Run(context.Background(), []campaign.Cell{{Index: 99}}); err == nil {
 		t.Fatal("a resumed cell outside the factorial was accepted")
+	}
+}
+
+// TestMergedCellsShareAlgos: every merged cell, whether resumed or leased
+// and decoded from a worker's answer, shares one backing array for its
+// algorithm list instead of keeping its own copy.
+func TestMergedCellsShareAlgos(t *testing.T) {
+	m, url := fastFleet(t)
+	startFleetWorker(t, url, "w", nil)
+	// The caller resumes the first two cells, each with its own copy.
+	var done []campaign.Cell
+	for _, cell := range singleProcess(t, testSpec()).Cells[:2] {
+		cell.Algos = slices.Clone(cell.Algos)
+		done = append(done, cell)
+	}
+	c, err := coord.New(coord.Config{Fleet: m, Spec: testSpec(), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background(), done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 4 || !slices.Equal(res.Cells[0].Algos, testSpec().Algos) {
+		t.Fatalf("cells = %+v", res.Cells)
+	}
+	shared := &res.Cells[0].Algos[0]
+	for _, cell := range res.Cells {
+		if &cell.Algos[0] != shared {
+			t.Errorf("cell %d keeps its own algos slice", cell.Index)
+		}
 	}
 }
 

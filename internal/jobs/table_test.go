@@ -151,11 +151,12 @@ func call(t *testing.T, method, url string, body any) (int, map[string]any) {
 	return code, out
 }
 
-// post submits a campaign and returns its ID.
+// post submits a campaign and returns its ID. The 202 carries the state
+// the campaign was filed in, however fast it then runs.
 func (s *server) post(t *testing.T, req request) string {
 	t.Helper()
 	code, info := call(t, "POST", s.url, req)
-	if code != 202 || info["kind"] != "campaign" || (info["state"] != "pending" && info["state"] != "running") {
+	if code != 202 || info["kind"] != "campaign" || info["state"] != "pending" {
 		t.Fatalf("submit = %d %v", code, info)
 	}
 	return info["id"].(string)

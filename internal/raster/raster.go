@@ -2,10 +2,13 @@
 // renderer for its PNG and JPEG outputs (the bitmap half of the paper's
 // command-line mode). It draws axis-aligned rectangles, lines, and text with
 // an embedded 5x7 bitmap font onto an image.RGBA, and encodes the result
-// with the stdlib image codecs.
+// with the stdlib image codecs. A frame of at most 256 opaque colors, as a
+// Gantt chart has, goes to PNG as an indexed image at png.BestSpeed; any
+// other frame goes as RGBA.
 package raster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -15,6 +18,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -235,8 +239,55 @@ func (c *Canvas) VerticalText(x, y float64, s string, size float64, col color.RG
 	}
 }
 
-// EncodePNG writes the canvas as PNG.
-func (c *Canvas) EncodePNG(w io.Writer) error { return png.Encode(w, c.img) }
+// EncodePNG writes the canvas as PNG. A canvas of at most 256 colors,
+// each opaque or fully transparent, is written as an indexed image at
+// png.BestSpeed: a Gantt frame has few colors, and this encodes several
+// times faster than RGBA at the default level, into fewer bytes. Any other
+// canvas is written as RGBA at the default level, because a PLTE or tRNS
+// entry is kept only for colors it carries exactly. Either way the decoded
+// pixels are the canvas's.
+func (c *Canvas) EncodePNG(w io.Writer) error {
+	if p := c.paletted(); p != nil {
+		enc := png.Encoder{CompressionLevel: png.BestSpeed}
+		return enc.Encode(w, p)
+	}
+	return png.Encode(w, c.img)
+}
+
+// paletted returns the canvas as an indexed image whose palette lists its
+// colors in order of first appearance, or nil when it holds more than 256
+// colors or a pixel whose alpha is neither 0 nor 255. It reads each pixel
+// as one word and reuses the previous index along runs, which cover most
+// of a frame; only a change of color searches the palette.
+func (c *Canvas) paletted() *image.Paletted {
+	src := c.img.Pix
+	idx := make([]uint8, len(src)/4)
+	var words [256]uint32
+	n := 0
+	last := ^binary.LittleEndian.Uint32(src) // differs from the first pixel
+	var li uint8
+	for i := range idx {
+		px := binary.LittleEndian.Uint32(src[4*i:])
+		if px != last {
+			j := slices.Index(words[:n], px)
+			if j < 0 {
+				if a := px >> 24; (a != 0 && a != 0xff) || n == len(words) {
+					return nil
+				}
+				j, words[n] = n, px
+				n++
+			}
+			last, li = px, uint8(j)
+		}
+		idx[i] = li
+	}
+	pal := make(color.Palette, n)
+	for i, px := range words[:n] {
+		pal[i] = color.RGBA{uint8(px), uint8(px >> 8), uint8(px >> 16), uint8(px >> 24)}
+	}
+	b := c.img.Bounds()
+	return &image.Paletted{Pix: idx, Stride: b.Dx(), Rect: b, Palette: pal}
+}
 
 // EncodeJPEG writes the canvas as JPEG at the given quality (1..100).
 func (c *Canvas) EncodeJPEG(w io.Writer, quality int) error {

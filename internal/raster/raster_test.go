@@ -2,6 +2,7 @@ package raster
 
 import (
 	"bytes"
+	"image"
 	"image/color"
 	"image/jpeg"
 	"image/png"
@@ -309,4 +310,86 @@ func TestLineHugeCoordinatesFast(t *testing.T) {
 	if c.At(8, 8) != black {
 		t.Fatal("clipped horizontal line missing")
 	}
+}
+
+// checkEncodePNG encodes c and requires the decoded image to hold exactly
+// the canvas's pixels, compared in PNG's non-premultiplied color model (for
+// opaque pixels that is byte equality), and to be indexed exactly when the
+// canvas has at most 256 colors, each opaque or fully transparent.
+func checkEncodePNG(t *testing.T, c *Canvas) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.EncodePNG(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := png.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := c.Image()
+	if got.Bounds() != want.Bounds() {
+		t.Fatalf("decoded bounds %v, canvas %v", got.Bounds(), want.Bounds())
+	}
+	colors := map[color.RGBA]bool{}
+	exact := true
+	b := want.Bounds()
+	for y := b.Min.Y; y < b.Max.Y; y++ {
+		for x := b.Min.X; x < b.Max.X; x++ {
+			px := want.RGBAAt(x, y)
+			colors[px] = true
+			exact = exact && (px.A == 0 || px.A == 0xff)
+			if w, g := color.NRGBAModel.Convert(px), color.NRGBAModel.Convert(got.At(x, y)); w != g {
+				t.Fatalf("pixel (%d,%d): canvas %v, decoded %v", x, y, w, g)
+			}
+		}
+	}
+	_, indexed := got.(*image.Paletted)
+	if want := exact && len(colors) <= 256; indexed != want {
+		t.Fatalf("%d colors, all opaque or transparent %v: decoded indexed %v, want %v",
+			len(colors), exact, indexed, want)
+	}
+}
+
+func TestEncodePNGIndexedOrRGBA(t *testing.T) {
+	// ramp paints n pixels of distinct opaque colors in row order.
+	ramp := func(c *Canvas, n int) {
+		for i := 0; i < n; i++ {
+			c.FillRect(float64(i%40), float64(i/40), 1, 1, color.RGBA{uint8(i), uint8(i >> 8), 0x55, 0xff})
+		}
+	}
+	for name, draw := range map[string]func(c *Canvas){
+		"white":             func(*Canvas) {},
+		"few colors":        func(c *Canvas) { c.FillRect(3, 3, 10, 5, red); c.Line(0, 0, 39, 19, black, 1) },
+		"transparent":       func(c *Canvas) { c.FillRect(0, 0, 40, 20, color.RGBA{}) },
+		"translucent pixel": func(c *Canvas) { c.FillRect(5, 5, 1, 1, color.RGBA{0, 0, 100, 128}) },
+		"256 colors":        func(c *Canvas) { ramp(c, 255) }, // plus the white background
+		"257 colors":        func(c *Canvas) { ramp(c, 256) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := New(40, 20)
+			draw(c)
+			checkEncodePNG(t, c)
+		})
+	}
+}
+
+// FuzzEncodePNG draws random rectangles of random colors, translucent ones
+// included, optionally over a ramp of more than 256 distinct colors, and
+// checks that the PNG decodes to the canvas's pixels.
+func FuzzEncodePNG(f *testing.F) {
+	f.Fuzz(func(t *testing.T, w, h uint8, ramp uint16, rects []byte) {
+		c := New(int(w%64)+1, int(h%64)+1)
+		cw, _ := c.Size()
+		for i := 0; i < int(ramp%1024); i++ {
+			c.FillRect(float64(i%int(cw)), float64(i/int(cw)), 1, 1, color.RGBA{uint8(i), uint8(i >> 8), 0x55, 0xff})
+		}
+		for ; len(rects) >= 8; rects = rects[8:] {
+			r := rects[:8]
+			// image.RGBA is alpha-premultiplied: no channel exceeds alpha.
+			a := r[7]
+			col := color.RGBA{min(r[4], a), min(r[5], a), min(r[6], a), a}
+			c.FillRect(float64(r[0]%70), float64(r[1]%70), float64(r[2]%70), float64(r[3]%70), col)
+		}
+		checkEncodePNG(t, c)
+	})
 }

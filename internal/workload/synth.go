@@ -1,10 +1,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -41,28 +42,36 @@ func DefaultGenerateConfig(n int) GenerateConfig {
 // dominated by sub-pixel tasks while a deep zoom shows only the thin
 // slice of the trace that actually intersects the window.
 func Generate(cfg GenerateConfig) []Job {
+	// Draw every job first and sort the small draws: a Job is 144 bytes,
+	// and moving those through a sort costs more than drawing them. IDs are
+	// unique, so the order is total.
+	type draw struct {
+		submit, run     int64
+		id, procs, user int
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	jobs := make([]Job, cfg.Jobs)
+	draws := make([]draw, cfg.Jobs)
 	logLo, logHi := math.Log(30), math.Log(600)
-	for i := range jobs {
+	for i := range draws {
 		run := int64(math.Exp(logLo + rng.Float64()*(logHi-logLo)))
 		submit := int64(rng.Float64() * float64(cfg.Horizon))
 		procs := 1 << rng.Intn(4) // 1, 2, 4, 8
 		user := 6000 + int(math.Floor(math.Pow(rng.Float64(), 2)*float64(cfg.Users)))
+		draws[i] = draw{submit: submit, run: run, id: i + 1, procs: procs, user: user}
+	}
+	slices.SortFunc(draws, func(a, b draw) int {
+		return cmp.Or(cmp.Compare(a.submit, b.submit), cmp.Compare(a.id, b.id))
+	})
+	jobs := make([]Job, len(draws))
+	for i, d := range draws {
 		jobs[i] = Job{
-			ID: i + 1, Submit: submit, Wait: 0, Run: run,
-			Procs: procs, AvgCPU: -1, Memory: -1,
+			ID: d.id, Submit: d.submit, Wait: 0, Run: d.run,
+			Procs: d.procs, AvgCPU: -1, Memory: -1,
 			ReqProcs: -1, ReqTime: -1, ReqMemory: -1,
-			Status: 1, User: user, Group: -1,
+			Status: 1, User: d.user, Group: -1,
 			Executable: -1, Queue: 1, Partition: 1, Preceding: -1, ThinkTime: -1,
 		}
 	}
-	sort.SliceStable(jobs, func(a, b int) bool {
-		if jobs[a].Submit != jobs[b].Submit {
-			return jobs[a].Submit < jobs[b].Submit
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
 	return jobs
 }
 
