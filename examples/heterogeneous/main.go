@@ -45,9 +45,9 @@ func main() {
 		}
 		fmt.Printf("%-9s backbone latency %g s: makespan %6.2f s, %2d cross-cluster edges, mBackground on clusters %v\n",
 			setting.name, setting.latency, res.Makespan,
-			res.CrossClusterEdges(), res.ClustersUsedBy("mBackground"))
+			heft.CrossClusterEdges(res), heft.ClustersUsedBy(res, "mBackground"))
 
-		trace, err := res.Trace(heft.TraceOptions{Transfers: true, TransferFloor: 0.05})
+		trace, err := heft.Trace(res, heft.TraceOptions{Transfers: true, TransferFloor: 0.05})
 		if err != nil {
 			log.Fatal(err)
 		}

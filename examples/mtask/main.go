@@ -12,6 +12,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/render"
 	"repro/internal/sched/cpa"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -26,15 +27,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		wr, err := cpa.Execute(res, p)
+		wr, err := res.Execute(sim.ExecOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		st := wr.Schedule.ComputeStats()
-		fmt.Printf("%-6s makespan %6.2f s  utilization %5.1f%%  T_CP %.2f  T_A %.2f",
-			variant, wr.Makespan, 100*st.Utilization, res.TCP, res.TA)
+		fmt.Printf("%-6s makespan %6.2f s  utilization %5.1f%%  T_CP %s  T_A %s",
+			variant, wr.Makespan, 100*st.Utilization, res.MetaValue("tcp"), res.MetaValue("ta"))
 		if variant == cpa.MCPA2 {
-			fmt.Printf("  (chose %s)", res.Chosen)
+			fmt.Printf("  (chose %s)", res.MetaValue("chosen"))
 		}
 		fmt.Println()
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestWriteRoundTrips(t *testing.T) {
@@ -63,4 +64,23 @@ func TestDecode(t *testing.T) {
 			t.Errorf("%s: Decode = %+v, %v; want %+v, %v", tc.name, e, ok, tc.want, tc.ok)
 		}
 	}
+}
+
+// FuzzDecode checks that Decode never panics on arbitrary bytes and that
+// the body Write produces decodes back to its code and message.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, code, message string) {
+		if e, ok := Decode(raw); ok && e.Code == "" && e.Message == "" {
+			t.Fatalf("Decode reported an empty envelope as present: %q", raw)
+		}
+		if !utf8.ValidString(code) || !utf8.ValidString(message) {
+			return // JSON coerces invalid UTF-8, so these cannot round-trip
+		}
+		rec := httptest.NewRecorder()
+		Write(rec, 400, code, "%s", message)
+		e, ok := Decode(rec.Body.Bytes())
+		if ok != (code != "" || message != "") || e.Code != code || e.Message != message {
+			t.Fatalf("Write(%q, %q) decodes to %+v, %v", code, message, e, ok)
+		}
+	})
 }

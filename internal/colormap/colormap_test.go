@@ -232,3 +232,25 @@ func TestConfHelpers(t *testing.T) {
 		t.Error("SetConf overwrite")
 	}
 }
+
+// FuzzReadWrite checks that whatever Read accepts survives Write and a
+// second Read unchanged.
+func FuzzReadWrite(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		m, err := Read(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatalf("Write of an accepted map: %v", err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read of Write's output: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("round trip differs\n got %+v\nwant %+v", back, m)
+		}
+	})
+}

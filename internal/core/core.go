@@ -167,8 +167,16 @@ func (t *Task) UsesCluster(cluster int) bool {
 }
 
 // Property returns the value of the named task property, or "".
-func (t *Task) Property(name string) string {
-	for _, p := range t.Properties {
+func (t *Task) Property(name string) string { return PropertyValue(t.Properties, name) }
+
+// SetProperty sets (or replaces) a task property.
+func (t *Task) SetProperty(name, value string) {
+	t.Properties = SetProperty(t.Properties, name, value)
+}
+
+// PropertyValue returns the value of the named property in props, or "".
+func PropertyValue(props []Property, name string) string {
+	for _, p := range props {
 		if p.Name == name {
 			return p.Value
 		}
@@ -176,15 +184,16 @@ func (t *Task) Property(name string) string {
 	return ""
 }
 
-// SetProperty sets (or replaces) a task property.
-func (t *Task) SetProperty(name, value string) {
-	for i := range t.Properties {
-		if t.Properties[i].Name == name {
-			t.Properties[i].Value = value
-			return
+// SetProperty returns props with the named property set: replaced in place
+// when present, appended otherwise, so first-insertion order is kept.
+func SetProperty(props []Property, name, value string) []Property {
+	for i := range props {
+		if props[i].Name == name {
+			props[i].Value = value
+			return props
 		}
 	}
-	t.Properties = append(t.Properties, Property{name, value})
+	return append(props, Property{name, value})
 }
 
 // Cluster is a named group of hosts. Following the paper, the clusters
@@ -266,25 +275,10 @@ func (s *Schedule) Task(id string) *Task {
 }
 
 // MetaValue returns the schedule-level meta value for name, or "".
-func (s *Schedule) MetaValue(name string) string {
-	for _, p := range s.Meta {
-		if p.Name == name {
-			return p.Value
-		}
-	}
-	return ""
-}
+func (s *Schedule) MetaValue(name string) string { return PropertyValue(s.Meta, name) }
 
 // SetMeta sets (or replaces) a schedule-level meta entry.
-func (s *Schedule) SetMeta(name, value string) {
-	for i := range s.Meta {
-		if s.Meta[i].Name == name {
-			s.Meta[i].Value = value
-			return
-		}
-	}
-	s.Meta = append(s.Meta, Property{name, value})
-}
+func (s *Schedule) SetMeta(name, value string) { s.Meta = SetProperty(s.Meta, name, value) }
 
 // TaskTypes returns the sorted set of task types present in the schedule.
 func (s *Schedule) TaskTypes() []string {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/sched/cpa"
 	"repro/internal/sched/cra"
 	"repro/internal/sched/heft"
+	"repro/internal/sim"
 	"repro/internal/taskpool"
 	"repro/internal/workload"
 )
@@ -64,7 +65,7 @@ func Fig4() (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		wr, err := cpa.Execute(res, p)
+		wr, err := res.Execute(sim.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +80,7 @@ func Fig4() (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.MCPA2Chose = res2.Chosen.String()
+	out.MCPA2Chose = res2.MetaValue("chosen")
 	out.MCPA2Makespan = res2.Makespan
 	return out, nil
 }
@@ -158,7 +159,7 @@ func Fig8And9() (*Fig8And9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		trace, err := res.Trace(heft.TraceOptions{Transfers: true, TransferFloor: 0.05})
+		trace, err := heft.Trace(res, heft.TraceOptions{Transfers: true, TransferFloor: 0.05})
 		if err != nil {
 			return nil, err
 		}
@@ -166,13 +167,13 @@ func Fig8And9() (*Fig8And9Result, error) {
 		if realistic {
 			out.Realistic = trace
 			out.MakespanRealistic = res.Makespan
-			out.CrossEdgesRealistic = res.CrossClusterEdges()
-			out.BackgroundClustersReal = len(res.ClustersUsedBy("mBackground"))
+			out.CrossEdgesRealistic = heft.CrossClusterEdges(res)
+			out.BackgroundClustersReal = len(heft.ClustersUsedBy(res, "mBackground"))
 		} else {
 			out.Flawed = trace
 			out.MakespanFlawed = res.Makespan
-			out.CrossEdgesFlawed = res.CrossClusterEdges()
-			out.BackgroundClustersFlawed = len(res.ClustersUsedBy("mBackground"))
+			out.CrossEdgesFlawed = heft.CrossClusterEdges(res)
+			out.BackgroundClustersFlawed = len(heft.ClustersUsedBy(res, "mBackground"))
 		}
 	}
 	return out, nil

@@ -19,36 +19,27 @@
 // the cluster size, preserving task parallelism within a level — the very
 // behavior whose failure mode (load imbalance under unequal sibling costs)
 // Figure 4 of the paper exposes.
+//
+// Schedule returns the common *sched.Result. The allocation phase's bounds
+// travel in its Meta as "tcp" and "ta", and MCPA2 records the variant it
+// kept as "chosen"; Result.Execute replays the plan on the simulator.
 package cpa
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 func init() {
 	for _, v := range []Variant{CPA, MCPA, MCPA2} {
-		sched.Register(variantScheduler{v})
+		sched.Register(sched.Func{Algo: v.String(), Run: func(g *dag.Graph, p *platform.Platform) (*sched.Result, error) {
+			return Schedule(g, p, v)
+		}})
 	}
-}
-
-// variantScheduler adapts one Variant to the sched.Scheduler interface.
-type variantScheduler struct{ v Variant }
-
-func (s variantScheduler) Name() string { return s.v.String() }
-
-func (s variantScheduler) Schedule(g *dag.Graph, p *platform.Platform) (*sched.Result, error) {
-	res, err := Schedule(g, p, s.v)
-	if err != nil {
-		return nil, err
-	}
-	return res.Unified(), nil
 }
 
 // Variant selects the allocation strategy.
@@ -77,28 +68,9 @@ func (v Variant) String() string {
 	}
 }
 
-// Result is a complete two-step scheduling outcome.
-type Result struct {
-	Variant  Variant
-	Chosen   Variant // for MCPA2: which variant won; otherwise == Variant
-	Alloc    []int   // processors per node ID
-	TCP, TA  float64 // lower bounds after allocation
-	Makespan float64 // predicted by the mapping phase
-
-	unified *sched.Result
-}
-
-// Unified returns the result in the common scheduler format: per-node
-// assignment with planned start/finish times, ready for campaign and
-// registry use.
-func (r *Result) Unified() *sched.Result { return r.unified }
-
-// Planned converts the mapping into simulator tasks.
-func (r *Result) Planned() []sim.PlannedTask { return r.unified.Planned() }
-
-// Schedule runs the selected variant for the graph on a homogeneous
-// cluster described by the platform's first cluster.
-func Schedule(g *dag.Graph, p *platform.Platform, variant Variant) (*Result, error) {
+// Schedule runs the selected variant for the graph on a platform of one
+// homogeneous cluster.
+func Schedule(g *dag.Graph, p *platform.Platform, variant Variant) (*sched.Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("cpa: %w", err)
 	}
@@ -114,17 +86,13 @@ func Schedule(g *dag.Graph, p *platform.Platform, variant Variant) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		unified, err := mapTasks(g, p, alloc, variant.String())
+		res, err := mapTasks(g, p, alloc, variant.String())
 		if err != nil {
 			return nil, err
 		}
-		unified.SetMeta("tcp", fmt.Sprintf("%.3f", tcp))
-		unified.SetMeta("ta", fmt.Sprintf("%.3f", ta))
-		return &Result{
-			Variant: variant, Chosen: variant, Alloc: alloc,
-			TCP: tcp, TA: ta,
-			Makespan: unified.Makespan, unified: unified,
-		}, nil
+		res.SetMeta("tcp", fmt.Sprintf("%.3f", tcp))
+		res.SetMeta("ta", fmt.Sprintf("%.3f", ta))
+		return res, nil
 	case MCPA2:
 		a, err := Schedule(g, p, CPA)
 		if err != nil {
@@ -138,16 +106,9 @@ func Schedule(g *dag.Graph, p *platform.Platform, variant Variant) (*Result, err
 		if b.Makespan < a.Makespan {
 			best = b
 		}
-		out := *best
-		out.Variant = MCPA2
-		u := *best.unified
-		u.Algorithm = MCPA2.String()
-		u.Meta = map[string]string{"chosen": best.Chosen.String()}
-		for k, v := range best.unified.Meta {
-			u.Meta[k] = v
-		}
-		out.unified = &u
-		return &out, nil
+		best.SetMeta("chosen", best.Algorithm)
+		best.Algorithm = MCPA2.String()
+		return best, nil
 	default:
 		return nil, fmt.Errorf("cpa: unknown variant %d", variant)
 	}
@@ -289,34 +250,3 @@ func mapTasks(g *dag.Graph, p *platform.Platform, alloc []int, algorithm string)
 	}
 	return res, nil
 }
-
-// Execute runs the planned schedule on the simulator (the SimGrid
-// substitute) and returns the trace with algorithm meta data attached.
-func Execute(res *Result, p *platform.Platform) (*sim.WorkflowResult, error) {
-	wr, err := sim.Execute(p, res.Planned(), sim.ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	wr.Schedule.SetMeta("algorithm", res.Chosen.String())
-	wr.Schedule.SetMeta("tcp", fmt.Sprintf("%.3f", res.TCP))
-	wr.Schedule.SetMeta("ta", fmt.Sprintf("%.3f", res.TA))
-	return wr, nil
-}
-
-// MaxAllocPerLevel returns, per precedence level, the total processors
-// allocated — the quantity MCPA constrains.
-func MaxAllocPerLevel(g *dag.Graph, alloc []int) (map[int]int, error) {
-	levels, err := g.Levels()
-	if err != nil {
-		return nil, err
-	}
-	out := map[int]int{}
-	for _, nd := range g.Nodes() {
-		out[levels[nd.ID]] += alloc[nd.ID]
-	}
-	return out, nil
-}
-
-// LowerBound returns max(T_CP, T_A), the classic lower bound on the
-// makespan of a schedule with the given allocation.
-func LowerBound(res *Result) float64 { return math.Max(res.TCP, res.TA) }

@@ -1,6 +1,7 @@
 package cpa
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +13,33 @@ import (
 )
 
 func cluster(n int) *platform.Platform { return platform.Homogeneous(n, 1e9) }
+
+// allocOf returns the processors per node ID a plan holds.
+func allocOf(res *sched.Result) []int {
+	out := make([]int, len(res.Assignments))
+	for id, a := range res.Assignments {
+		out[id] = len(a.Hosts)
+	}
+	return out
+}
+
+// maxAllocPerLevel returns, per precedence level, the total processors
+// allocated — the quantity MCPA constrains.
+func maxAllocPerLevel(g *dag.Graph, alloc []int) (map[int]int, error) {
+	levels, err := g.Levels()
+	if err != nil {
+		return nil, err
+	}
+	out := map[int]int{}
+	for _, nd := range g.Nodes() {
+		out[levels[nd.ID]] += alloc[nd.ID]
+	}
+	return out, nil
+}
+
+// lowerBound returns max(T_CP, T_A), the classic lower bound on the
+// makespan of a schedule with the allocation the bounds were computed for.
+func lowerBound(tcp, ta float64) float64 { return math.Max(tcp, ta) }
 
 func TestVariantString(t *testing.T) {
 	if CPA.String() != "cpa" || MCPA.String() != "mcpa" || MCPA2.String() != "mcpa2" {
@@ -25,12 +53,12 @@ func TestVariantString(t *testing.T) {
 func TestAllocationGrowsCriticalPath(t *testing.T) {
 	// A chain is all critical path: allocations must grow beyond 1.
 	g := dag.Generate(dag.ShapeSerial, dag.DefaultGenOptions(10), rand.New(rand.NewSource(1)))
-	res, err := Schedule(g, cluster(16), CPA)
+	alloc, tcp, ta, err := allocate(g, cluster(16), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grew := false
-	for _, a := range res.Alloc {
+	for _, a := range alloc {
 		if a < 1 || a > 16 {
 			t.Fatalf("allocation %d out of range", a)
 		}
@@ -43,8 +71,8 @@ func TestAllocationGrowsCriticalPath(t *testing.T) {
 	}
 	// On a chain T_A is tiny relative to T_CP until allocations grow; the
 	// loop must terminate with TCP <= TA or saturated allocations.
-	if res.TCP > res.TA {
-		for _, a := range res.Alloc {
+	if tcp > ta {
+		for _, a := range alloc {
 			if a < 16 {
 				// Not saturated but stopped: the serial fraction made
 				// further growth useless (gain 0 is never selected).
@@ -61,7 +89,7 @@ func TestMCPALevelCapRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perLevel, err := MaxAllocPerLevel(g, res.Alloc)
+	perLevel, err := maxAllocPerLevel(g, allocOf(res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +103,7 @@ func TestMCPALevelCapRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perLevelCPA, _ := MaxAllocPerLevel(g, resCPA.Alloc)
+	perLevelCPA, _ := maxAllocPerLevel(g, allocOf(resCPA))
 	if perLevelCPA[1] <= P {
 		t.Logf("note: CPA level allocation %d did not exceed P on this instance", perLevelCPA[1])
 	}
@@ -100,11 +128,11 @@ func TestFigure4Scenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCPA, err := Execute(resCPA, p)
+	simCPA, err := resCPA.Execute(sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simMCPA, err := Execute(resMCPA, p)
+	simMCPA, err := resMCPA.Execute(sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +152,11 @@ func TestFigure4Scenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Chosen != CPA {
-		t.Fatalf("MCPA2 chose %v, want CPA", res2.Chosen)
+	if got := res2.MetaValue("chosen"); got != "cpa" {
+		t.Fatalf("MCPA2 chose %s, want cpa", got)
+	}
+	if res2.Algorithm != "mcpa2" {
+		t.Fatalf("MCPA2 result labeled %q", res2.Algorithm)
 	}
 	if math.Abs(res2.Makespan-resCPA.Makespan) > 1e-9 {
 		t.Fatalf("MCPA2 makespan %g != CPA %g", res2.Makespan, resCPA.Makespan)
@@ -147,30 +178,38 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 				t.Fatalf("iter %d %v: %v", iter, variant, err)
 			}
 			// Allocation bounds.
-			for id, a := range res.Alloc {
+			alloc := allocOf(res)
+			for id, a := range alloc {
 				if a < 1 || a > P {
 					t.Fatalf("iter %d %v: alloc[%d]=%d", iter, variant, id, a)
 				}
 			}
+			if err := res.Validate(); err != nil {
+				t.Fatalf("iter %d %v: %v", iter, variant, err)
+			}
 			// Virtual execution respects everything (Execute validates).
-			wr, err := Execute(res, p)
+			wr, err := res.Execute(sim.ExecOptions{})
 			if err != nil {
 				t.Fatalf("iter %d %v: %v", iter, variant, err)
 			}
 			if err := wr.Schedule.Validate(); err != nil {
 				t.Fatalf("iter %d %v: %v", iter, variant, err)
 			}
-			// The simulated makespan can never beat max(TCP at alloc, 0)
-			// by more than numerical noise... it must be >= the critical
-			// path under the chosen allocation.
-			if wr.Makespan < res.TCP-1e-6 {
+			// The simulated makespan can never beat the critical path
+			// under the chosen allocation by more than numerical noise.
+			levelCap := variant == MCPA || res.MetaValue("chosen") == "mcpa"
+			_, tcp, _, err := allocate(g, p, levelCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wr.Makespan < tcp-1e-6 {
 				t.Fatalf("iter %d %v: makespan %g below critical path %g",
-					iter, variant, wr.Makespan, res.TCP)
+					iter, variant, wr.Makespan, tcp)
 			}
 			// MCPA's invariant: a level never exceeds P unless it holds
 			// more than P tasks (each task needs at least one processor).
 			if variant == MCPA {
-				perLevel, _ := MaxAllocPerLevel(g, res.Alloc)
+				perLevel, _ := maxAllocPerLevel(g, alloc)
 				sets, _ := g.LevelSets()
 				for level, total := range perLevel {
 					cap := P
@@ -223,10 +262,39 @@ func TestScheduleErrors(t *testing.T) {
 	}
 }
 
+// TestLowerBound checks that no plan beats max(T_CP, T_A) of its own
+// allocation, and that the simulated replay, which adds transfers, does
+// not either.
 func TestLowerBound(t *testing.T) {
-	res := &Result{TCP: 10, TA: 20}
-	if LowerBound(res) != 20 {
+	if lowerBound(10, 20) != 20 || lowerBound(30, 20) != 30 {
 		t.Fatal("lower bound should be max(TCP, TA)")
+	}
+	g := dag.ImbalancedLayer(14, 10)
+	p := cluster(16)
+	for _, variant := range []Variant{CPA, MCPA} {
+		_, tcp, ta, err := allocate(g, p, variant == MCPA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Schedule(g, p, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, err := res.Execute(sim.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb := lowerBound(tcp, ta)
+		if res.Makespan < lb-1e-9 || wr.Makespan < lb-1e-9 {
+			t.Fatalf("%v: planned %g / simulated %g below the lower bound %g",
+				variant, res.Makespan, wr.Makespan, lb)
+		}
+		if got := res.MetaValue("tcp"); got != fmt.Sprintf("%.3f", tcp) {
+			t.Fatalf("%v: tcp meta %q, want %.3f", variant, got, tcp)
+		}
+		if got := res.MetaValue("ta"); got != fmt.Sprintf("%.3f", ta) {
+			t.Fatalf("%v: ta meta %q, want %.3f", variant, got, ta)
+		}
 	}
 }
 
@@ -246,5 +314,3 @@ func TestPickEarliestHosts(t *testing.T) {
 		t.Fatal("overask not clamped")
 	}
 }
-
-var _ = sim.ExecOptions{} // keep the import obvious for readers

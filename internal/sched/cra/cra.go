@@ -135,8 +135,8 @@ type Result struct {
 }
 
 // Shares computes the integer processor shares for the applications. Every
-// application receives at least one processor and the shares sum to at most
-// P (exactly P when N <= P).
+// application receives at least one processor and the shares sum to exactly
+// P; N > P is an error.
 func Shares(graphs []*dag.Graph, strategy Strategy, mu float64, P int) ([]int, error) {
 	n := len(graphs)
 	if n == 0 {
@@ -200,20 +200,16 @@ func Shares(graphs []*dag.Graph, strategy Strategy, mu float64, P int) ([]int, e
 		shares[fracs[k].i]++
 		used++
 	}
-	for k := n - 1; used > P; {
-		// Shrink the largest share(s); keep everyone at >= 1.
+	for used > P {
+		// Shrink the largest share; everyone stays at >= 1 because N <= P.
 		j := 0
 		for i := range shares {
 			if shares[i] > shares[j] {
 				j = i
 			}
 		}
-		if shares[j] <= 1 {
-			break
-		}
 		shares[j]--
 		used--
-		_ = k
 	}
 	return shares, nil
 }

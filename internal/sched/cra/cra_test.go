@@ -30,23 +30,37 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
+// TestSharesSumAndFloor checks the Shares contract for every strategy,
+// µ ∈ {0, 0.5, 1} and every N <= P on a table of cluster sizes: each share
+// is at least 1 and the shares sum to exactly P. The batches mix one heavy,
+// wide application with light ones, so rounding both overshoots (every
+// light share floored up to 1) and undershoots P.
 func TestSharesSumAndFloor(t *testing.T) {
-	gs := apps(1, 4, 20)
-	for _, strat := range []Strategy{Work, Width, Equal} {
-		for _, mu := range []float64{0, 0.5, 1} {
-			shares, err := Shares(gs, strat, mu, 20)
-			if err != nil {
-				t.Fatalf("%v mu=%g: %v", strat, mu, err)
-			}
-			sum := 0
-			for _, s := range shares {
-				if s < 1 {
-					t.Fatalf("%v mu=%g: share %d < 1", strat, mu, s)
+	heavy := dag.Generate(dag.ShapeWide, dag.GenOptions{
+		Nodes: 40, WorkMin: 5e10, WorkMax: 5e10, SerialFraction: 0.05, EdgeBytes: 1e6,
+	}, rand.New(rand.NewSource(3)))
+	light := apps(1, 8, 6)
+	for _, P := range []int{1, 2, 3, 5, 8, 13, 20} {
+		for n := 1; n <= P && n <= len(light)+1; n++ {
+			gs := append([]*dag.Graph{heavy}, light[:n-1]...)
+			for _, strat := range []Strategy{Work, Width, Equal} {
+				for _, mu := range []float64{0, 0.5, 1} {
+					shares, err := Shares(gs, strat, mu, P)
+					if err != nil {
+						t.Fatalf("P=%d N=%d %v mu=%g: %v", P, n, strat, mu, err)
+					}
+					sum := 0
+					for _, s := range shares {
+						if s < 1 {
+							t.Fatalf("P=%d N=%d %v mu=%g: share %d < 1", P, n, strat, mu, s)
+						}
+						sum += s
+					}
+					if len(shares) != n || sum != P {
+						t.Fatalf("P=%d N=%d %v mu=%g: shares %v sum to %d, want %d",
+							P, n, strat, mu, shares, sum, P)
+					}
 				}
-				sum += s
-			}
-			if sum != 20 {
-				t.Fatalf("%v mu=%g: shares %v sum to %d, want 20", strat, mu, shares, sum)
 			}
 		}
 	}

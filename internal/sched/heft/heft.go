@@ -11,6 +11,10 @@
 // follow the platform's route model, which is exactly where the Figure 8
 // anomaly comes from: with a backbone as fast as the intra-cluster links,
 // moving a task to another cluster costs (almost) nothing.
+//
+// Schedule returns the common *sched.Result. Trace (planned tasks with
+// their ranks and transfers), ClustersUsedBy and CrossClusterEdges are free
+// functions over it for the Figure 8/9 analysis.
 package heft
 
 import (
@@ -25,63 +29,40 @@ import (
 )
 
 func init() {
-	sched.Register(sched.Func{Algo: "heft", Run: func(g *dag.Graph, p *platform.Platform) (*sched.Result, error) {
-		res, err := Schedule(g, p)
-		if err != nil {
-			return nil, err
-		}
-		return res.Unified(), nil
-	}})
+	sched.Register(sched.Func{Algo: "heft", Run: Schedule})
 }
 
-// Result is a complete HEFT schedule.
-type Result struct {
-	// Assign maps node ID to the chosen global host.
-	Assign []int
-	// Start and Finish give the planned times per node ID.
-	Start, Finish []float64
-	// Rank holds the upward ranks per node ID.
-	Rank []float64
-	// Makespan is the maximum finish time.
-	Makespan float64
-
-	graph *dag.Graph
-	plat  *platform.Platform
+// Ranks returns the HEFT upward rank per node ID: execution at the
+// platform's mean speed plus mean communication along the longest path to
+// an exit node. It is deterministic, so Trace recomputes it for the
+// per-task "rank" property instead of carrying it in the result.
+func Ranks(g *dag.Graph, p *platform.Platform) ([]float64, error) {
+	meanSpeed := p.MeanSpeed()
+	return sched.UpwardRanks(g,
+		func(nd *dag.Node) float64 { return nd.Work / meanSpeed },
+		func(e *dag.Edge) float64 { return p.MeanCommTime(e.Bytes) })
 }
-
-// slot is a reserved interval on one host.
-type slot struct{ start, end float64 }
 
 // Schedule runs HEFT for the graph on the platform. Tasks are treated as
-// single-processor (sequential) tasks, per the case study. Ranks and host
-// reservations come from the shared sched toolkit: upward ranks with mean
-// execution/communication costs, and a gap-inserting host timeline.
-func Schedule(g *dag.Graph, p *platform.Platform) (*Result, error) {
+// single-processor (sequential) tasks, per the case study, so every
+// assignment holds exactly one host. Host reservations go through the
+// shared gap-inserting timeline.
+func Schedule(g *dag.Graph, p *platform.Platform) (*sched.Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("heft: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("heft: %w", err)
 	}
-	n := g.Len()
-	res := &Result{
-		Assign: make([]int, n), Start: make([]float64, n),
-		Finish: make([]float64, n),
-		graph:  g, plat: p,
-	}
-	meanSpeed := p.MeanSpeed()
-
-	rank, err := sched.UpwardRanks(g,
-		func(nd *dag.Node) float64 { return nd.Work / meanSpeed },
-		func(e *dag.Edge) float64 { return p.MeanCommTime(e.Bytes) })
+	rank, err := Ranks(g, p)
 	if err != nil {
 		return nil, err
 	}
-	res.Rank = rank
+	res := sched.NewResult("heft", g, p)
 
 	// Priority list: decreasing upward rank (stable on ties by ID).
 	prio := append([]*dag.Node(nil), g.Nodes()...)
-	sort.SliceStable(prio, func(i, j int) bool { return res.Rank[prio[i].ID] > res.Rank[prio[j].ID] })
+	sort.SliceStable(prio, func(i, j int) bool { return rank[prio[i].ID] > rank[prio[j].ID] })
 
 	tl := sched.NewTimeline(p.NumHosts())
 	for _, nd := range prio {
@@ -91,11 +72,12 @@ func Schedule(g *dag.Graph, p *platform.Platform) (*Result, error) {
 			// Data-ready time on this host.
 			ready := 0.0
 			for _, e := range nd.Preds() {
-				ct, err := p.CommTime(res.Assign[e.From.ID], h.Global, e.Bytes)
+				pred := res.Assignments[e.From.ID]
+				ct, err := p.CommTime(pred.Hosts[0], h.Global, e.Bytes)
 				if err != nil {
 					return nil, err
 				}
-				if t := res.Finish[e.From.ID] + ct; t > ready {
+				if t := pred.Finish + ct; t > ready {
 					ready = t
 				}
 			}
@@ -106,28 +88,13 @@ func Schedule(g *dag.Graph, p *platform.Platform) (*Result, error) {
 				bestHost, bestStart, bestEFT = h.Global, start, eft
 			}
 		}
-		res.Assign[nd.ID] = bestHost
-		res.Start[nd.ID] = bestStart
-		res.Finish[nd.ID] = bestEFT
+		res.Assignments[nd.ID] = sched.Assignment{Hosts: []int{bestHost}, Start: bestStart, Finish: bestEFT}
 		tl.Reserve(bestHost, bestStart, bestEFT)
 		if bestEFT > res.Makespan {
 			res.Makespan = bestEFT
 		}
 	}
 	return res, nil
-}
-
-// Unified returns the schedule in the common scheduler format.
-func (r *Result) Unified() *sched.Result {
-	out := sched.NewResult("heft", r.graph, r.plat)
-	out.Makespan = r.Makespan
-	for _, nd := range r.graph.Nodes() {
-		out.Assignments[nd.ID] = sched.Assignment{
-			Hosts: []int{r.Assign[nd.ID]},
-			Start: r.Start[nd.ID], Finish: r.Finish[nd.ID],
-		}
-	}
-	return out
 }
 
 // TraceOptions controls Trace.
@@ -139,29 +106,34 @@ type TraceOptions struct {
 	TransferFloor float64
 }
 
-// Trace renders the planned schedule as a Jedule document, mapping hosts
-// back to the platform's cluster structure. Task types follow the node
-// types (Montage stage names), so a per-stage color map highlights the
+// Trace renders a planned single-host schedule (HEFT's) as a Jedule
+// document with each task's upward rank as its "rank" property and,
+// optionally, the planned transfers between hosts. Task types follow the
+// node types (Montage stage names), so a per-stage color map highlights the
 // workflow structure as in the paper's Figure 8/9.
-func (r *Result) Trace(opt TraceOptions) (*core.Schedule, error) {
-	rec := sim.NewRecorder(r.plat)
-	rec.SetMeta("algorithm", "heft")
+func Trace(r *sched.Result, opt TraceOptions) (*core.Schedule, error) {
+	rank, err := Ranks(r.Graph, r.Platform)
+	if err != nil {
+		return nil, err
+	}
+	rec := sim.NewRecorder(r.Platform)
+	rec.SetMeta("algorithm", r.Algorithm)
 	rec.SetMeta("makespan", fmt.Sprintf("%.1f", r.Makespan))
-	for _, nd := range r.graph.Nodes() {
-		if err := rec.Record(nd.Name, nd.Type, r.Start[nd.ID], r.Finish[nd.ID],
-			[]int{r.Assign[nd.ID]},
-			core.Property{Name: "rank", Value: fmt.Sprintf("%.2f", r.Rank[nd.ID])}); err != nil {
+	for _, nd := range r.Graph.Nodes() {
+		a := r.Assignments[nd.ID]
+		if err := rec.Record(nd.Name, nd.Type, a.Start, a.Finish, a.Hosts,
+			core.Property{Name: "rank", Value: fmt.Sprintf("%.2f", rank[nd.ID])}); err != nil {
 			return nil, err
 		}
 	}
 	if opt.Transfers {
 		i := 0
-		for _, e := range r.graph.Edges() {
-			src, dst := r.Assign[e.From.ID], r.Assign[e.To.ID]
+		for _, e := range r.Graph.Edges() {
+			src, dst := r.Assignments[e.From.ID].Hosts[0], r.Assignments[e.To.ID].Hosts[0]
 			if src == dst {
 				continue
 			}
-			ct, err := r.plat.CommTime(src, dst, e.Bytes)
+			ct, err := r.Platform.CommTime(src, dst, e.Bytes)
 			if err != nil {
 				return nil, err
 			}
@@ -169,7 +141,7 @@ func (r *Result) Trace(opt TraceOptions) (*core.Schedule, error) {
 				continue
 			}
 			i++
-			start := r.Finish[e.From.ID]
+			start := r.Assignments[e.From.ID].Finish
 			if err := rec.Record(fmt.Sprintf("x%d:%s->%s", i, e.From.Name, e.To.Name),
 				"transfer", start, start+ct, []int{src, dst}); err != nil {
 				return nil, err
@@ -179,36 +151,20 @@ func (r *Result) Trace(opt TraceOptions) (*core.Schedule, error) {
 	return rec.Schedule(), nil
 }
 
-// Planned converts the schedule into simulator tasks for independent
-// validation by the discrete-event kernel.
-func (r *Result) Planned() []sim.PlannedTask {
-	out := make([]sim.PlannedTask, 0, r.graph.Len())
-	for _, nd := range r.graph.Nodes() {
-		h, _ := r.plat.Host(r.Assign[nd.ID])
-		pt := sim.PlannedTask{
-			ID: nd.Name, Type: nd.Type,
-			Hosts: []int{r.Assign[nd.ID]}, Duration: nd.Work / h.Speed,
-		}
-		for _, e := range nd.Preds() {
-			pt.Deps = append(pt.Deps, sim.Dep{From: e.From.Name, Bytes: e.Bytes})
-		}
-		out = append(out, pt)
-	}
-	return out
-}
-
-// ClustersUsedBy returns the set of cluster IDs hosting nodes of the given
-// type — the quantity behind the Figure 8 anomaly check (mBackground tasks
-// scattered across clusters under the flawed platform description).
-func (r *Result) ClustersUsedBy(nodeType string) []int {
+// ClustersUsedBy returns the sorted IDs of the clusters hosting nodes of
+// the given type — the quantity behind the Figure 8 anomaly check
+// (mBackground tasks scattered across clusters under the flawed platform
+// description).
+func ClustersUsedBy(r *sched.Result, nodeType string) []int {
 	seen := map[int]bool{}
-	for _, nd := range r.graph.Nodes() {
+	for _, nd := range r.Graph.Nodes() {
 		if nd.Type != nodeType {
 			continue
 		}
-		h, err := r.plat.Host(r.Assign[nd.ID])
-		if err == nil {
-			seen[h.Cluster] = true
+		for _, g := range r.Assignments[nd.ID].Hosts {
+			if h, err := r.Platform.Host(g); err == nil {
+				seen[h.Cluster] = true
+			}
 		}
 	}
 	out := make([]int, 0, len(seen))
@@ -219,44 +175,16 @@ func (r *Result) ClustersUsedBy(nodeType string) []int {
 	return out
 }
 
-// CrossClusterEdges counts dependency edges whose endpoints run on
-// different clusters.
-func (r *Result) CrossClusterEdges() int {
+// CrossClusterEdges counts dependency edges whose endpoints' first hosts
+// lie in different clusters.
+func CrossClusterEdges(r *sched.Result) int {
 	n := 0
-	for _, e := range r.graph.Edges() {
-		ha, _ := r.plat.Host(r.Assign[e.From.ID])
-		hb, _ := r.plat.Host(r.Assign[e.To.ID])
+	for _, e := range r.Graph.Edges() {
+		ha, _ := r.Platform.Host(r.Assignments[e.From.ID].Hosts[0])
+		hb, _ := r.Platform.Host(r.Assignments[e.To.ID].Hosts[0])
 		if ha.Cluster != hb.Cluster {
 			n++
 		}
 	}
 	return n
-}
-
-// Validate checks the plan's internal consistency: precedence with
-// communication delays and no overlapping reservations per host.
-func (r *Result) Validate() error {
-	for _, e := range r.graph.Edges() {
-		ct, err := r.plat.CommTime(r.Assign[e.From.ID], r.Assign[e.To.ID], e.Bytes)
-		if err != nil {
-			return err
-		}
-		if r.Start[e.To.ID] < r.Finish[e.From.ID]+ct-1e-9 {
-			return fmt.Errorf("heft: %s starts at %g before data from %s arrives at %g",
-				e.To.Name, r.Start[e.To.ID], e.From.Name, r.Finish[e.From.ID]+ct)
-		}
-	}
-	byHost := map[int][]slot{}
-	for _, nd := range r.graph.Nodes() {
-		byHost[r.Assign[nd.ID]] = append(byHost[r.Assign[nd.ID]], slot{r.Start[nd.ID], r.Finish[nd.ID]})
-	}
-	for h, list := range byHost {
-		sort.Slice(list, func(i, j int) bool { return list[i].start < list[j].start })
-		for i := 1; i < len(list); i++ {
-			if list[i].start < list[i-1].end-1e-9 {
-				return fmt.Errorf("heft: host %d double-booked at %g", h, list[i].start)
-			}
-		}
-	}
-	return nil
 }

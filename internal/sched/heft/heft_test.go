@@ -1,6 +1,7 @@
 package heft
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,15 +15,15 @@ import (
 func TestRanksDecreaseAlongEdges(t *testing.T) {
 	g := dag.Montage(6)
 	p := platform.Figure7(platform.Figure7FlawedLatency)
-	res, err := Schedule(g, p)
+	rank, err := Ranks(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Upward rank of a predecessor strictly exceeds every successor's.
 	for _, e := range g.Edges() {
-		if res.Rank[e.From.ID] <= res.Rank[e.To.ID] {
+		if rank[e.From.ID] <= rank[e.To.ID] {
 			t.Fatalf("rank(%s)=%g <= rank(%s)=%g",
-				e.From.Name, res.Rank[e.From.ID], e.To.Name, res.Rank[e.To.ID])
+				e.From.Name, rank[e.From.ID], e.To.Name, rank[e.To.ID])
 		}
 	}
 }
@@ -41,7 +42,7 @@ func TestScheduleValidAndSimulatable(t *testing.T) {
 		t.Fatal("empty makespan")
 	}
 	// The plan replays on the discrete-event kernel.
-	wr, err := sim.Execute(p, res.Planned(), sim.ExecOptions{})
+	wr, err := res.Execute(sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +68,10 @@ func TestFastHostsPreferredWhenCommFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, host := range res.Assign {
-		h, _ := p.Host(host)
+	for id, a := range res.Assignments {
+		h, _ := p.Host(a.Hosts[0])
 		if h.Speed != 3.3e9 {
-			t.Fatalf("task %d on slow host %d", id, host)
+			t.Fatalf("task %d on slow host %d", id, a.Hosts[0])
 		}
 	}
 }
@@ -99,15 +100,15 @@ func TestFigure8vs9(t *testing.T) {
 	}
 	// The anomaly: under the flawed description, communication-heavy
 	// stages cross clusters much more.
-	xFlawed := flawed.CrossClusterEdges()
-	xReal := realistic.CrossClusterEdges()
+	xFlawed := CrossClusterEdges(flawed)
+	xReal := CrossClusterEdges(realistic)
 	if xReal >= xFlawed {
 		t.Fatalf("cross-cluster edges: flawed=%d realistic=%d; realistic should be lower",
 			xFlawed, xReal)
 	}
 	// mBackground consolidates under the realistic backbone.
-	cFlawed := len(flawed.ClustersUsedBy("mBackground"))
-	cReal := len(realistic.ClustersUsedBy("mBackground"))
+	cFlawed := len(ClustersUsedBy(flawed, "mBackground"))
+	cReal := len(ClustersUsedBy(realistic, "mBackground"))
 	if cReal > cFlawed {
 		t.Fatalf("mBackground clusters: flawed=%d realistic=%d", cFlawed, cReal)
 	}
@@ -125,7 +126,7 @@ func TestTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := res.Trace(TraceOptions{Transfers: true, TransferFloor: 0.01})
+	s, err := Trace(res, TraceOptions{Transfers: true, TransferFloor: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +152,23 @@ func TestTrace(t *testing.T) {
 		t.Fatalf("stage types missing from trace: %v", types)
 	}
 	// Without transfers the trace has exactly one task per node.
-	s2, err := res.Trace(TraceOptions{})
+	s2, err := Trace(res, TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s2.Tasks) != g.Len() {
 		t.Fatalf("trace size = %d, want %d", len(s2.Tasks), g.Len())
+	}
+	// Every task carries the rank HEFT ordered it by.
+	rank, err := Ranks(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range g.Nodes() {
+		task := s2.Task(nd.Name)
+		if task == nil || task.Property("rank") != fmt.Sprintf("%.2f", rank[nd.ID]) {
+			t.Fatalf("task %s: rank property missing or wrong: %+v", nd.Name, task)
+		}
 	}
 }
 

@@ -72,8 +72,9 @@ func TestUnifiedResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHeftUnifiedMatchesNative checks the unified view against heft's own
-// result on the heterogeneous platform (planned times must carry over).
+// TestSchedulersOnHeterogeneousPlatform checks that heft plans a valid
+// schedule on the Figure 7 platform through the registry and that cpa
+// refuses it.
 func TestSchedulersOnHeterogeneousPlatform(t *testing.T) {
 	g := dag.Montage(6)
 	p := platform.Figure7(platform.Figure7RealisticLatency)

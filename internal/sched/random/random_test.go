@@ -38,8 +38,8 @@ func TestScheduleIsValid(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Fatalf("makespan = %g", res.Makespan)
 	}
-	if res.Meta["seed"] != "3" {
-		t.Fatalf("seed meta = %q", res.Meta["seed"])
+	if res.MetaValue("seed") != "3" {
+		t.Fatalf("seed meta = %q", res.MetaValue("seed"))
 	}
 	// Every task is sequential: exactly one host.
 	for i, a := range res.Assignments {

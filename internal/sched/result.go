@@ -30,8 +30,9 @@ type Result struct {
 	Assignments []Assignment
 	Makespan    float64
 	// Meta carries algorithm-specific key/value pairs (e.g. CPA's T_CP and
-	// T_A bounds) that end up as schedule-level properties in traces.
-	Meta map[string]string
+	// T_A bounds, MCPA2's chosen variant) in insertion order; they follow
+	// "algorithm" as schedule-level properties in traces.
+	Meta []core.Property
 }
 
 // NewResult allocates a result shell for the graph and platform.
@@ -41,17 +42,14 @@ func NewResult(algorithm string, g *dag.Graph, p *platform.Platform) *Result {
 		Graph:       g,
 		Platform:    p,
 		Assignments: make([]Assignment, g.Len()),
-		Meta:        map[string]string{},
 	}
 }
 
-// SetMeta records one algorithm-specific property.
-func (r *Result) SetMeta(name, value string) {
-	if r.Meta == nil {
-		r.Meta = map[string]string{}
-	}
-	r.Meta[name] = value
-}
+// SetMeta records (or replaces) one algorithm-specific property.
+func (r *Result) SetMeta(name, value string) { r.Meta = core.SetProperty(r.Meta, name, value) }
+
+// MetaValue returns the named algorithm-specific property, or "".
+func (r *Result) MetaValue(name string) string { return core.PropertyValue(r.Meta, name) }
 
 // Planned converts the result into simulator tasks for independent
 // validation by the discrete-event kernel. Tasks are emitted in planned
@@ -87,8 +85,8 @@ func (r *Result) Execute(opt sim.ExecOptions) (*sim.WorkflowResult, error) {
 		return nil, err
 	}
 	wr.Schedule.SetMeta("algorithm", r.Algorithm)
-	for _, k := range r.metaKeys() {
-		wr.Schedule.SetMeta(k, r.Meta[k])
+	for _, m := range r.Meta {
+		wr.Schedule.SetMeta(m.Name, m.Value)
 	}
 	return wr, nil
 }
@@ -99,8 +97,8 @@ func (r *Result) Trace() (*core.Schedule, error) {
 	rec := sim.NewRecorder(r.Platform)
 	rec.SetMeta("algorithm", r.Algorithm)
 	rec.SetMeta("makespan", fmt.Sprintf("%.3f", r.Makespan))
-	for _, k := range r.metaKeys() {
-		rec.SetMeta(k, r.Meta[k])
+	for _, m := range r.Meta {
+		rec.SetMeta(m.Name, m.Value)
 	}
 	for _, nd := range r.Graph.Nodes() {
 		a := r.Assignments[nd.ID]
@@ -111,20 +109,12 @@ func (r *Result) Trace() (*core.Schedule, error) {
 	return rec.Schedule(), nil
 }
 
-// metaKeys returns the meta keys in deterministic order.
-func (r *Result) metaKeys() []string {
-	keys := make([]string, 0, len(r.Meta))
-	for k := range r.Meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Validate checks the plan's internal consistency: every node placed on
-// valid hosts, precedence respected (a task never starts before a
-// predecessor finishes — communication delays, being non-negative, can only
-// push starts later), and no host double-booked.
+// Validate is the one plan checker: every node placed on valid hosts over a
+// non-negative interval, precedence respected (a task never starts before a predecessor finishes),
+// and no host double-booked. It is deliberately communication-free: CPA's
+// mapping phase and CRA's backfilling plan without redistribution costs,
+// which only the simulator (Execute) charges, so a plan is valid when its
+// order is feasible, and transfers can only push the replayed starts later.
 func (r *Result) Validate() error {
 	if len(r.Assignments) != r.Graph.Len() {
 		return fmt.Errorf("sched: %s: %d assignments for %d nodes",
@@ -140,8 +130,8 @@ func (r *Result) Validate() error {
 		if len(a.Hosts) == 0 {
 			return fmt.Errorf("sched: %s: node %q has no hosts", r.Algorithm, nd.Name)
 		}
-		if a.Finish < a.Start {
-			return fmt.Errorf("sched: %s: node %q finishes before it starts", r.Algorithm, nd.Name)
+		if a.Start < 0 || a.Finish < a.Start {
+			return fmt.Errorf("sched: %s: node %q planned over [%g, %g]", r.Algorithm, nd.Name, a.Start, a.Finish)
 		}
 		for _, h := range a.Hosts {
 			if _, err := r.Platform.Host(h); err != nil {

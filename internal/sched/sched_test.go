@@ -110,6 +110,13 @@ func TestResultValidate(t *testing.T) {
 		t.Fatal("double-booked host accepted")
 	}
 
+	// Negative start.
+	r.Assignments[a.ID] = Assignment{Hosts: []int{0}, Start: -1e-3, Finish: 1}
+	r.Assignments[b.ID] = Assignment{Hosts: []int{0}, Start: 1, Finish: 2}
+	if err := r.Validate(); err == nil {
+		t.Fatal("negative start accepted")
+	}
+
 	// Unknown host.
 	r = NewResult("test", g, p)
 	r.Assignments[a.ID] = Assignment{Hosts: []int{7}, Start: 0, Finish: 1}
