@@ -61,13 +61,14 @@
 // request header or minted) that every campaign shard lease carries to its
 // worker.
 //
-// -state-dir makes the server durable: session descriptors, campaign
-// records, finished results, and the merged cells of running campaigns are
-// journaled into that directory, and a restarted server recovers them —
-// sessions re-list (their schedules re-hydrate lazily on first access),
-// terminal campaign results serve byte-identically, and interrupted
-// campaigns resume from their journaled cells. Empty (the default) keeps
-// the purely in-memory behavior. See the README's "Durable state" section.
+// -state-dir makes the server durable: session descriptors, uploaded
+// documents, campaign records, finished results, and the merged cells of
+// running campaigns are journaled into that directory, and a restarted
+// server recovers them — sessions re-list (their schedules re-hydrate
+// lazily on first access), terminal campaign results serve
+// byte-identically, and interrupted campaigns resume from their journaled
+// cells. Empty (the default) keeps the purely in-memory behavior. See the
+// README's "Durable state" section.
 package main
 
 import (

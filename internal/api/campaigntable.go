@@ -389,26 +389,6 @@ type RecoverStats struct {
 	Interrupted int `json:"interrupted"`
 }
 
-// adoptLegacy moves the campaign records an older server kept in
-// namespace ns ("cjobs", IDs "c1", "c2", ...) into jobsNS under their own
-// IDs, and empties ns. Undecodable records are dropped and counted.
-func (s *Server) adoptLegacy(ns string) error {
-	records, err := s.persist.Load(ns)
-	if err != nil {
-		return err
-	}
-	for _, raw := range records {
-		var st campaignStatus
-		if err := json.Unmarshal(raw, &st); err != nil || st.ID == "" {
-			s.campaigns.jerrs.Add(1)
-			continue
-		}
-		st.Kind = kindCampaign
-		s.writeRecord(st, true)
-	}
-	return s.persist.DeletePrefix(ns, "")
-}
-
 // recoverCampaigns replays the records of a previous process: terminal
 // campaigns come back as they were, interrupted ones resume under their
 // own IDs, and the rest come back failed, rewritten so the next restart

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/events"
 	"repro/internal/jedxml"
 	"repro/internal/persist"
@@ -147,6 +146,9 @@ func TestPersistSessionsSurviveRestart(t *testing.T) {
 
 	h1 := startPersistServer(t, stateDir, fileDir)
 	upID := createUpload(t, h1.ts, "uploaded")
+	if sess, _ := h1.store.getLive(upID); sess.recipe.Doc != nil {
+		t.Fatal("session keeps its upload bytes after journaling them")
+	}
 	code, info := doJSON(t, "POST", h1.ts.URL+"/api/v1/sessions",
 		strings.NewReader(`{"algo": "cpa"}`), "application/json")
 	if code != 201 {
@@ -261,6 +263,102 @@ func TestPersistHydrationFailureDropsSession(t *testing.T) {
 	}
 	if h2.store.Len() != 0 {
 		t.Fatal("unhydratable session still listed")
+	}
+}
+
+// TestPersistOrphanDocDeleted hand-edits a state directory into what a
+// crash between the two writes of an upload leaves — a journaled document
+// whose descriptor never landed — and restarts: RecoverSessions deletes the
+// orphan and keeps the complete session.
+func TestPersistOrphanDocDeleted(t *testing.T) {
+	stateDir := t.TempDir()
+	h1 := startPersistServer(t, stateDir, "")
+	keep := createUpload(t, h1.ts, "keep")
+	lost := createUpload(t, h1.ts, "lost")
+	h1.stop(t)
+	ps, err := persist.Open(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Delete(sessionsNS, lost); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := startPersistServer(t, stateDir, "")
+	defer h2.stop(t)
+	if n := h2.store.RecoveredSessions(); n != 1 {
+		t.Fatalf("recovered %d sessions, want 1", n)
+	}
+	docs, err := h2.ps.Load(docsNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := docs[keep]; !ok || len(docs) != 1 {
+		t.Fatalf("docs after recovery: %d, keep present %v; want only %s", len(docs), ok, keep)
+	}
+	if code, _, _ := rawGet(t, h2.ts.URL+"/api/v1/sessions/"+keep+"/render?format=svg"); code != 200 {
+		t.Fatalf("render of the complete session = %d", code)
+	}
+}
+
+// TestPersistDocMissingOrDamaged hand-edits a state directory so that one
+// descriptor's document is gone and, once the server has opened the store,
+// damages another's on disk: each session still lists, and its first
+// access drops it and counts one hydration failure instead of panicking.
+func TestPersistDocMissingOrDamaged(t *testing.T) {
+	stateDir := t.TempDir()
+	h1 := startPersistServer(t, stateDir, "")
+	missing := createUpload(t, h1.ts, "missing")
+	damaged := createUpload(t, h1.ts, "damaged")
+	h1.stop(t)
+	ps, err := persist.Open(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Delete(docsNS, missing); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := startPersistServer(t, stateDir, "")
+	defer h2.stop(t)
+	if h2.store.Len() != 2 {
+		t.Fatalf("recovered %d sessions, want 2", h2.store.Len())
+	}
+	// The damaged session's document is the last one journaled, so the
+	// log's last closing tag lies inside it.
+	path := filepath.Join(stateDir, docsNS+".log")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("<?"), int64(bytes.LastIndex(raw, []byte("</")))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for i, id := range []string{missing, damaged} {
+		if code, _, _ := rawGet(t, h2.ts.URL+"/api/v1/sessions/"+id+"/stats"); code != 404 {
+			t.Fatalf("stats of %s = %d, want 404", id, code)
+		}
+		if n := h2.store.HydrationFailures(); n != int64(i+1) {
+			t.Fatalf("hydration failures after %s = %d, want %d", id, n, i+1)
+		}
+	}
+	if h2.store.Len() != 0 {
+		t.Fatalf("%d sessions still listed", h2.store.Len())
+	}
+	if left, err := h2.ps.Load(sessionsNS); err != nil || len(left) != 0 {
+		t.Fatalf("descriptors left: %d (err %v)", len(left), err)
 	}
 }
 
@@ -464,102 +562,5 @@ func TestPersistCampaignResumesAfterStop(t *testing.T) {
 	}
 	if want := resultBytes(t, h2.ts.URL+"/api/v1/campaigns/"+fresh+"/result"); !bytes.Equal(resumed, want) {
 		t.Fatalf("resumed result differs from a fresh run:\n%s\nvs\n%s", resumed, want)
-	}
-}
-
-// TestPersistLegacyStateDir starts a server on a state directory in the
-// layout of an older server — a second engine's records under "cjobs" and
-// a per-cell journal under "jobs-cells" — seeded by hand: the "cN" records
-// join the one engine under their own IDs, the cell journal goes, and the
-// interrupted old-layout job resumes from scratch to the fresh-run result.
-func TestPersistLegacyStateDir(t *testing.T) {
-	var spec campaign.Spec
-	if err := json.Unmarshal([]byte(fmt.Sprintf(smallJobSpec, "")), &spec); err != nil {
-		t.Fatal(err)
-	}
-	cfg, _, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now().UTC()
-	record := func(fields map[string]any) []byte {
-		b, err := json.Marshal(fields)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	stateDir := t.TempDir()
-	ps, err := persist.Open(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, put := range []struct {
-		ns, key string
-		val     []byte
-	}{
-		{"cjobs", "c1", record(map[string]any{"id": "c1", "kind": "campaign-coordinated", "state": "done",
-			"done": 4, "total": 4, "created": now, "finished": now,
-			"outcome": campaignOutcome{Header: campaign.NewHeader(cfg), Result: res}})},
-		{"cjobs", "c2", record(map[string]any{"id": "c2", "kind": "campaign-coordinated", "state": "running",
-			"total": 4, "created": now})},
-		{"jobs", "j1", record(map[string]any{"id": "j1", "kind": "campaign", "state": "running",
-			"done": 1, "total": 4, "created": now, "spec": spec})},
-		{"jobs-cells", "j1/00000000", record(map[string]any{"index": 0})},
-		{"jobs-cells", "j9/00000003", record(map[string]any{"index": 3})},
-	} {
-		if err := ps.PutDurable(put.ns, put.key, put.val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ps.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	h := startPersistServer(t, stateDir, "")
-	if r := h.srv.RecoveredJobs(); r.Restored != 1 || r.Resumed != 1 || r.Interrupted != 1 {
-		t.Fatalf("recovered = %+v", r)
-	}
-	for ns, want := range map[string]int{"cjobs": 0, "jobs-cells": 0, "jobs": 3} {
-		if got, err := h.ps.Load(ns); err != nil || len(got) != want {
-			t.Fatalf("namespace %s holds %d records (err %v), want %d", ns, len(got), err, want)
-		}
-	}
-	table := singleProcessTable(t, smallJobSpec)
-	for _, id := range []string{"c1", "j1"} {
-		if st := waitCampaign(t, h.ts, h.srv, id); st["state"] != "done" || st["kind"] != "campaign" {
-			t.Fatalf("%s = %v", id, st)
-		}
-		if code, got := doJSON(t, "GET", h.ts.URL+"/api/v1/campaigns/"+id+"/result", nil, ""); code != 200 || got["table"] != table {
-			t.Fatalf("%s result = %d %v", id, code, got)
-		}
-	}
-	if code, st := doJSON(t, "GET", h.ts.URL+"/api/v1/jobs/c2", nil, ""); code != 200 || st["state"] != "failed" {
-		t.Fatalf("c2 = %d %v", code, st)
-	}
-	next := launchJob(t, h.ts, fmt.Sprintf(smallJobSpec, ""))
-	if next != "j2" {
-		t.Fatalf("next ID = %s, want j2", next)
-	}
-	// A stop does not end a running campaign; let j2 finish so the next
-	// start restores it instead of resuming it.
-	if st := pollJob(t, h.ts, next); st["state"] != "done" {
-		t.Fatalf("%s = %v", next, st)
-	}
-	h.stop(t)
-
-	// The adopted records live in "jobs" now: the next start restores them
-	// without any legacy namespace left to read.
-	h2 := startPersistServer(t, stateDir, "")
-	defer h2.stop(t)
-	if r := h2.srv.RecoveredJobs(); r.Restored != 4 || r.Resumed != 0 {
-		t.Fatalf("second recovery = %+v", r)
-	}
-	if code, got := doJSON(t, "GET", h2.ts.URL+"/api/v1/jobs/c1/result", nil, ""); code != 200 || got["table"] != table {
-		t.Fatalf("c1 result after second restart = %d %v", code, got)
 	}
 }

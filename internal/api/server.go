@@ -159,21 +159,8 @@ func (s *Server) campaignFleet() *fleet.Manager {
 // that ID (runNS) — the store's only cell journal. The run journals of
 // campaigns that will not run again are dropped. Call once, after
 // SetFleet, before serving and before any campaign is submitted.
-//
-// A state directory written by an older server also holds a second
-// engine's records ("cjobs", IDs "c1", "c2", ...) and a per-cell journal
-// of running jobs ("jobs-cells"). The former are folded into "jobs" under
-// their own IDs; the latter is dropped, so a campaign interrupted under
-// the old layout resumes with its cells recomputed — to the same result,
-// since cells depend only on (config, index).
 func (s *Server) EnablePersistence(ps persist.Store) error {
 	s.persist = ps
-	if err := s.adoptLegacy("cjobs"); err != nil {
-		return err
-	}
-	if err := ps.DeletePrefix("jobs-cells", ""); err != nil {
-		return err
-	}
 	var err error
 	if s.recovered, err = s.recoverCampaigns(); err != nil {
 		return err
@@ -351,9 +338,9 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 	}
 
 	name := r.URL.Query().Get("name")
-	// With persistence on, the session keeps the body verbatim so its
-	// recipe replays the exact client input after a restart: the raw JSON
-	// re-runs the deterministic generator, the raw document re-parses.
+	// With persistence on, the recipe replays the exact client input after
+	// a restart: the raw JSON re-runs the deterministic generator, the raw
+	// document (journaled apart from the descriptor) re-parses.
 	durable := s.store.PersistEnabled()
 	var (
 		schedule *core.Schedule

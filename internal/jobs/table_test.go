@@ -641,64 +641,6 @@ func TestPersistInterruptedUnknownKind(t *testing.T) {
 	}
 }
 
-// TestPersistAdopt restarts on a state dir whose done campaign an older
-// server kept in its second namespace ("cjobs", ID "c1", kind
-// "campaign-coordinated") next to a torn record: the campaign is listed
-// under its own ID as a campaign with its result, the torn record is
-// dropped and counted, and the old namespace is emptied.
-func TestPersistAdopt(t *testing.T) {
-	psA := persist.Memory()
-	a := start(t, nil, psA)
-	id := a.post(t, small(11))
-	if st := a.wait(t, id); st["state"] != "done" {
-		t.Fatalf("%s = %v", id, st)
-	}
-	_, want := call(t, "GET", a.url+"/"+id+"/result", nil)
-	raw, found, err := psA.Get("jobs", id)
-	if err != nil || !found {
-		t.Fatalf("record %s found=%v (err %v)", id, found, err)
-	}
-	a.stop()
-	var rec map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
-	}
-	rec["id"], rec["kind"] = json.RawMessage(`"c1"`), json.RawMessage(`"campaign-coordinated"`)
-	old, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := persist.Memory()
-	for key, val := range map[string][]byte{"c1": old, "c2": []byte("{torn")} {
-		if err := ps.Put("cjobs", key, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	b := start(t, nil, ps)
-	if r := b.srv.RecoveredJobs(); r != (api.RecoverStats{Restored: 1}) {
-		t.Fatalf("recovered = %+v", r)
-	}
-	if n := b.meta(t)["persist"].(map[string]any)["job_errors"]; n != 1.0 {
-		t.Fatalf("job_errors = %v, want 1 for the torn record", n)
-	}
-	if left, err := ps.Load("cjobs"); err != nil || len(left) != 0 {
-		t.Fatalf("old namespace keeps %v (err %v)", left, err)
-	}
-	if code, st := call(t, "GET", b.url+"/c1", nil); code != 200 || st["kind"] != "campaign" || st["state"] != "done" {
-		t.Fatalf("adopted campaign = %d %v", code, st)
-	}
-	_, got := call(t, "GET", b.url+"/c1/result", nil)
-	if fmt.Sprint(got["merged"]) != "[c1]" {
-		t.Fatalf("adopted result merged = %v", got["merged"])
-	}
-	delete(got, "merged")
-	delete(want, "merged")
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("adopted result differs:\n%v\nvs\n%v", got, want)
-	}
-}
-
 // TestEvictionNotifiesJournal evicts the oldest of the terminal campaigns
 // past the cap: its record leaves the store, the next one's stays, and the
 // eviction is counted on /meta and /metrics.

@@ -4,22 +4,28 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
 
-// fileVersion guards the on-disk record format.
-const fileVersion = 1
+// fileVersion guards the on-disk record format: 1 was one JSON line per
+// record with a base64 value, 2 is the framed format below.
+const fileVersion = 2
 
 // compactMinRecords is how many log appends a namespace accumulates before
 // compaction is even considered; beyond it, a log holding more than twice
 // its live record count is rewritten as a snapshot.
 const compactMinRecords = 256
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // fileHeader is the first line of every log and snapshot file.
 type fileHeader struct {
@@ -27,26 +33,44 @@ type fileHeader struct {
 	NS      string `json:"ns"`
 }
 
-// fileRecord is one JSONL line after the header. Exactly one op:
-// "put" upserts Key to Val, "del" removes Key, "delprefix" removes every
-// key with prefix Key. Val marshals as base64 (encoding/json []byte).
-type fileRecord struct {
-	Op  string `json:"op"`
-	Key string `json:"key"`
-	Val []byte `json:"val,omitempty"`
+// loc is where a live value sits: its offset and length in the snapshot or
+// the log of its namespace, and the CRC-32C it must still match.
+type loc struct {
+	snap bool // in the snapshot file (else the log)
+	off  int64
+	n    int
+	crc  uint32
 }
 
-// fsNamespace is the in-memory mirror of one namespace: the live records
-// plus the open append handle of its log.
+// fsNamespace is the in-memory index of one namespace: where each live
+// value sits, plus the open handles of its files.
 type fsNamespace struct {
-	log      *os.File
-	live     map[string][]byte
+	log      *os.File // append handle, read with ReadAt too
+	size     int64    // bytes in the log
+	snap     *os.File // nil until the namespace has a snapshot
+	live     map[string]loc
 	appended int // log records since the last compaction
 }
 
+func (sp *fsNamespace) file(l loc) *os.File {
+	if l.snap {
+		return sp.snap
+	}
+	return sp.log
+}
+
+func (sp *fsNamespace) close() {
+	for _, f := range []*os.File{sp.log, sp.snap} {
+		if f != nil {
+			f.Close() //nolint:errcheck // read handles or already-synced logs
+		}
+	}
+	sp.log, sp.snap = nil, nil
+}
+
 // fsStore is the filesystem implementation: per namespace an append-only
-// record log (<ns>.log) and a compacted snapshot (<ns>.snap), both
-// newline-framed JSON with a schema-version header line.
+// record log (<ns>.log) and a compacted snapshot (<ns>.snap), both framed
+// records behind a schema-version header line.
 type fsStore struct {
 	mu     sync.Mutex
 	dir    string
@@ -55,8 +79,11 @@ type fsStore struct {
 }
 
 // Open opens (or initializes) a filesystem store rooted at dir, replaying
-// every namespace found there: snapshot first, then the log, with a torn
-// final log record cut before the log is reopened for append.
+// every namespace found there: snapshot first, then the log. Replay checks
+// each frame and its CRCs but decodes no value. Only once every file has
+// replayed does Open touch the directory — removing compaction leftovers
+// and cutting a torn final log record — so a directory it refuses (one of
+// another schema version, or corrupt) is left byte for byte as it was.
 func Open(dir string) (Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
@@ -67,6 +94,7 @@ func Open(dir string) (Store, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	names := map[string]bool{}
+	var leftovers []string
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
@@ -76,18 +104,30 @@ func Open(dir string) (Store, error) {
 		case strings.HasSuffix(name, ".tmp"):
 			// Leftover of a compaction that never reached its rename —
 			// the pre-crash files are still authoritative.
-			os.Remove(filepath.Join(dir, name)) //nolint:errcheck
+			leftovers = append(leftovers, name)
 		case strings.HasSuffix(name, ".log"):
 			names[strings.TrimSuffix(name, ".log")] = true
 		case strings.HasSuffix(name, ".snap"):
 			names[strings.TrimSuffix(name, ".snap")] = true
 		}
 	}
+	valid := map[string]int64{}
 	for ns := range names {
-		if err := validNS(ns); err != nil {
+		if validNS(ns) != nil {
 			continue // foreign file; leave it alone
 		}
-		if _, err := st.openNamespace(ns); err != nil {
+		sp, logSize, err := st.replayNamespace(ns)
+		if err != nil {
+			st.Close() //nolint:errcheck
+			return nil, err
+		}
+		st.spaces[ns], valid[ns] = sp, logSize
+	}
+	for _, name := range leftovers {
+		os.Remove(filepath.Join(dir, name)) //nolint:errcheck
+	}
+	for ns, sp := range st.spaces {
+		if err := st.reopenLog(ns, sp, valid[ns]); err != nil {
 			st.Close() //nolint:errcheck
 			return nil, err
 		}
@@ -98,154 +138,268 @@ func Open(dir string) (Store, error) {
 func (st *fsStore) logPath(ns string) string  { return filepath.Join(st.dir, ns+".log") }
 func (st *fsStore) snapPath(ns string) string { return filepath.Join(st.dir, ns+".snap") }
 
-// openNamespace replays snapshot and log into a live map and opens the log
-// for append, truncating a torn tail first. Callers hold st.mu (or are
-// single-threaded in Open).
-func (st *fsStore) openNamespace(ns string) (*fsNamespace, error) {
-	sp := &fsNamespace{live: map[string][]byte{}}
-	if err := replayFile(st.snapPath(ns), ns, sp.live, nil); err != nil && !os.IsNotExist(err) {
-		return nil, err
+// replayNamespace indexes the snapshot and the log of ns without writing
+// anything. It returns the byte extent of the log's complete frames (-1 when
+// there is no log), which reopenLog cuts the log to.
+func (st *fsStore) replayNamespace(ns string) (*fsNamespace, int64, error) {
+	sp := &fsNamespace{live: map[string]loc{}}
+	if f, err := os.Open(st.snapPath(ns)); err == nil {
+		sp.snap = f
+		if _, _, err := replayFile(f, st.snapPath(ns), ns, true, sp.live); err != nil {
+			sp.close()
+			return nil, 0, err
+		}
+	} else if !os.IsNotExist(err) {
+		return nil, 0, fmt.Errorf("persist: %w", err)
 	}
-	var valid int64
-	records := 0
-	err := replayFile(st.logPath(ns), ns, sp.live, func(off int64, n int) { valid, records = off, n })
-	switch {
-	case os.IsNotExist(err):
-		// Fresh namespace: start a new log with just the header.
-		f, err := st.freshLog(ns)
-		if err != nil {
-			return nil, err
-		}
-		sp.log = f
-	case err != nil:
-		return nil, err
-	default:
-		f, err := os.OpenFile(st.logPath(ns), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("persist: %w", err)
-		}
-		// Cut a record torn by a crash mid-write, or the first append
-		// would be concatenated onto it and lost with it.
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("persist: %w", err)
-		}
-		sp.log = f
-		sp.appended = records
+	f, err := os.OpenFile(st.logPath(ns), os.O_RDWR|os.O_APPEND, 0o644)
+	if os.IsNotExist(err) {
+		return sp, -1, nil
 	}
-	st.spaces[ns] = sp
-	return sp, nil
+	if err != nil {
+		sp.close()
+		return nil, 0, fmt.Errorf("persist: %w", err)
+	}
+	sp.log = f
+	valid, records, err := replayFile(f, st.logPath(ns), ns, false, sp.live)
+	if err != nil {
+		sp.close()
+		return nil, 0, err
+	}
+	sp.appended = records
+	return sp, valid, nil
+}
+
+// reopenLog readies the log of a replayed namespace for appends: it cuts a
+// frame torn by a crash mid-write (or the first append would follow the
+// torn bytes and be lost with them), or starts a fresh log when there is
+// none.
+func (st *fsStore) reopenLog(ns string, sp *fsNamespace, valid int64) error {
+	if sp.log == nil {
+		f, size, err := st.freshLog(ns)
+		if err != nil {
+			return err
+		}
+		sp.log, sp.size = f, size
+		return nil
+	}
+	if err := sp.log.Truncate(valid); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	sp.size = valid
+	return nil
 }
 
 // freshLog creates <ns>.log containing only the header, atomically via a
 // tmp file so a crash can never leave a header-less log behind.
-func (st *fsStore) freshLog(ns string) (*os.File, error) {
+func (st *fsStore) freshLog(ns string) (*os.File, int64, error) {
 	tmp := st.logPath(ns) + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, 0, fmt.Errorf("persist: %w", err)
 	}
-	line, err := json.Marshal(fileHeader{Version: fileVersion, NS: ns})
-	if err != nil {
+	header := headerLine(ns)
+	if _, err := f.Write(header); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, 0, fmt.Errorf("persist: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, 0, fmt.Errorf("persist: %w", err)
 	}
 	if err := os.Rename(tmp, st.logPath(ns)); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, 0, fmt.Errorf("persist: %w", err)
 	}
 	st.syncDir()
-	return f, nil
+	return f, int64(len(header)), nil
 }
 
-// replayFile applies every complete record of one file onto live. A final
-// line without its newline — the signature of a crash mid-write — is
-// dropped silently; a complete line that does not parse is corruption.
-// onExtent, when set, receives the byte extent of the newline-terminated
-// records and the record count (what a log replay reports so the caller can
-// truncate the torn tail).
-func replayFile(path, ns string, live map[string][]byte, onExtent func(valid int64, records int)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+func headerLine(ns string) []byte {
+	line, _ := json.Marshal(fileHeader{Version: fileVersion, NS: ns}) // cannot fail
+	return append(line, '\n')
+}
+
+// appendFrame appends the frame of one record to buf. A frame is one
+// record after the file header:
+//
+//	<hcrc> <op> <vlen> <vcrc> <key>\n<value>\n
+//
+// op is "put", "del" (remove key) or "delprefix" (remove every key with
+// prefix key); key is strconv.Quote'd; vlen is the value's byte length (0
+// for the deletes); vcrc and hcrc are 8 hex digits of CRC-32C, vcrc (given)
+// over the value and hcrc over the header line after "<hcrc> " up to its
+// newline. The header CRC is checked before the length is trusted, so a
+// damaged length is corruption, never a tail that looks torn.
+func appendFrame(buf []byte, op, key string, value []byte, vcrc uint32) []byte {
+	header := fmt.Appendf(nil, "%s %d %08x %s", op, len(value), vcrc, strconv.Quote(key))
+	buf = fmt.Appendf(buf, "%08x %s\n", crc32.Checksum(header, castagnoli), header)
+	buf = append(buf, value...)
+	return append(buf, '\n')
+}
+
+// frameHeader is a parsed frame header line.
+type frameHeader struct {
+	op, key string
+	vlen    int
+	vcrc    uint32
+}
+
+// parseFrameHeader checks and splits a header line (without its newline).
+func parseFrameHeader(line []byte) (frameHeader, error) {
+	var h frameHeader
+	if len(line) < 9 || line[8] != ' ' {
+		return h, errors.New("short frame header")
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var (
-		offset, valid int64
-		lineNo        int
-		records       int
-		sawHeader     bool
-	)
+	hcrc, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	if err != nil || uint32(hcrc) != crc32.Checksum(line[9:], castagnoli) {
+		return h, errors.New("frame header checksum mismatch")
+	}
+	fields := bytes.SplitN(line[9:], []byte{' '}, 4)
+	if len(fields) != 4 {
+		return h, errors.New("frame header has too few fields")
+	}
+	h.op = string(fields[0])
+	n, err := strconv.Atoi(string(fields[1]))
+	if err != nil || n < 0 {
+		return h, fmt.Errorf("bad value length %q", fields[1])
+	}
+	h.vlen = n
+	vcrc, err := strconv.ParseUint(string(fields[2]), 16, 32)
+	if err != nil || len(fields[2]) != 8 {
+		return h, fmt.Errorf("bad value checksum %q", fields[2])
+	}
+	h.vcrc = uint32(vcrc)
+	if h.key, err = strconv.Unquote(string(fields[3])); err != nil {
+		return h, fmt.Errorf("bad key %s", fields[3])
+	}
+	switch h.op {
+	case "put":
+	case "del", "delprefix":
+		if h.vlen != 0 {
+			return h, fmt.Errorf("%s frame carries a value", h.op)
+		}
+	default:
+		return h, fmt.Errorf("unknown op %q", h.op)
+	}
+	return h, nil
+}
+
+// readHeader reads and checks the version header line of one file.
+func readHeader(br *bufio.Reader, path, ns string) (int64, error) {
+	line, err := br.ReadBytes('\n')
+	if err != nil && err != io.EOF {
+		return 0, fmt.Errorf("persist: %s: %w", path, err)
+	}
+	var h fileHeader
+	if err != nil || json.Unmarshal(line, &h) != nil || h.Version == 0 {
+		return 0, fmt.Errorf("persist: %s: missing header line", path)
+	}
+	if h.Version != fileVersion {
+		return 0, fmt.Errorf("persist: %s: schema version %d, but this build reads only version %d; start on an empty -state-dir",
+			path, h.Version, fileVersion)
+	}
+	if h.NS != ns {
+		return 0, fmt.Errorf("persist: %s: header names namespace %q", path, h.NS)
+	}
+	return int64(len(line)), nil
+}
+
+// replayFile indexes every complete frame of one file into live, checking
+// both CRCs of each. A final frame cut short — the signature of a crash
+// mid-write — is dropped; a complete frame that fails a check is
+// corruption. It returns the byte extent of the complete frames and their
+// count.
+func replayFile(f *os.File, path, ns string, snap bool, live map[string]loc) (int64, int, error) {
+	br := bufio.NewReaderSize(f, 1<<16)
+	offset, err := readHeader(br, path, ns)
+	if err != nil {
+		return 0, 0, err
+	}
+	records := 0
 	for {
-		line, readErr := br.ReadBytes('\n')
-		offset += int64(len(line))
-		if readErr != nil && readErr != io.EOF {
-			return fmt.Errorf("persist: %s: %w", path, readErr)
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			break // clean end, or a header line cut short
 		}
-		if readErr == io.EOF && len(line) > 0 {
-			break // unterminated tail: torn record, drop it
+		if err != nil {
+			return 0, 0, fmt.Errorf("persist: %s: %w", path, err)
 		}
-		if len(line) == 0 {
-			break // clean EOF
+		h, err := parseFrameHeader(line[:len(line)-1])
+		if err != nil {
+			return 0, 0, fmt.Errorf("persist: %s corrupt at offset %d: %v", path, offset, err)
 		}
-		lineNo++
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			valid = offset
-			continue
+		valueOff := offset + int64(len(line))
+		crc, complete, err := crcNext(br, h.vlen)
+		if err != nil {
+			return 0, 0, fmt.Errorf("persist: %s: %w", path, err)
 		}
-		if !sawHeader {
-			var h fileHeader
-			if err := json.Unmarshal(trimmed, &h); err != nil || h.Version == 0 {
-				return fmt.Errorf("persist: %s: missing header line", path)
-			}
-			if h.Version != fileVersion {
-				return fmt.Errorf("persist: %s: schema version %d (this build reads %d)", path, h.Version, fileVersion)
-			}
-			if h.NS != ns {
-				return fmt.Errorf("persist: %s: header names namespace %q", path, h.NS)
-			}
-			sawHeader = true
-			valid = offset
-			continue
+		if !complete {
+			break // the value or its newline is cut short
 		}
-		var rec fileRecord
-		if err := json.Unmarshal(trimmed, &rec); err != nil {
-			return fmt.Errorf("persist: %s corrupt at line %d: %v", path, lineNo, err)
+		if crc != h.vcrc {
+			return 0, 0, fmt.Errorf("persist: %s corrupt at offset %d: value checksum mismatch", path, offset)
 		}
-		switch rec.Op {
+		if nl, _ := br.ReadByte(); nl != '\n' {
+			return 0, 0, fmt.Errorf("persist: %s corrupt at offset %d: frame not newline-terminated", path, offset)
+		}
+		switch h.op {
 		case "put":
-			live[rec.Key] = rec.Val
+			live[h.key] = loc{snap: snap, off: valueOff, n: h.vlen, crc: h.vcrc}
 		case "del":
-			delete(live, rec.Key)
+			delete(live, h.key)
 		case "delprefix":
-			for k := range live {
-				if strings.HasPrefix(k, rec.Key) {
-					delete(live, k)
-				}
-			}
-		default:
-			return fmt.Errorf("persist: %s corrupt at line %d: unknown op %q", path, lineNo, rec.Op)
+			deletePrefix(live, h.key)
 		}
 		records++
-		valid = offset
+		offset = valueOff + int64(h.vlen) + 1
 	}
-	if !sawHeader {
-		return fmt.Errorf("persist: %s: missing header line", path)
+	return offset, records, nil
+}
+
+// crcNext checksums the next n bytes of br without copying them, and
+// reports whether they and the byte after them (the frame's newline) are
+// all there.
+func crcNext(br *bufio.Reader, n int) (uint32, bool, error) {
+	var crc uint32
+	for n > 0 {
+		chunk, err := br.Peek(min(n, br.Size()))
+		crc = crc32.Update(crc, castagnoli, chunk)
+		br.Discard(len(chunk)) //nolint:errcheck // peeked bytes are buffered
+		n -= len(chunk)
+		if err == io.EOF {
+			return 0, false, nil
+		}
+		if err != nil {
+			return 0, false, err
+		}
 	}
-	if onExtent != nil {
-		onExtent(valid, records)
+	if _, err := br.Peek(1); err == io.EOF {
+		return 0, false, nil
+	} else if err != nil {
+		return 0, false, err
 	}
-	return nil
+	return crc, true, nil
+}
+
+func deletePrefix(live map[string]loc, prefix string) {
+	for k := range live {
+		if strings.HasPrefix(k, prefix) {
+			delete(live, k)
+		}
+	}
+}
+
+// readValue reads a live value back and checks it against its CRC.
+func (st *fsStore) readValue(ns string, sp *fsNamespace, key string, l loc) ([]byte, error) {
+	v := make([]byte, l.n)
+	if _, err := sp.file(l).ReadAt(v, l.off); err != nil {
+		return nil, fmt.Errorf("persist: %s/%s: %w", ns, key, err)
+	}
+	if crc32.Checksum(v, castagnoli) != l.crc {
+		return nil, fmt.Errorf("persist: %s/%s: value checksum mismatch", ns, key)
+	}
+	return v, nil
 }
 
 // space returns the namespace, creating its log on first use when create
@@ -255,29 +409,32 @@ func (st *fsStore) space(ns string, create bool) (*fsNamespace, error) {
 		return nil, err
 	}
 	sp, ok := st.spaces[ns]
-	if ok {
+	if ok || !create {
 		return sp, nil
 	}
-	if !create {
-		return nil, nil
+	f, size, err := st.freshLog(ns)
+	if err != nil {
+		return nil, err
 	}
-	return st.openNamespace(ns)
+	sp = &fsNamespace{log: f, size: size, live: map[string]loc{}}
+	st.spaces[ns] = sp
+	return sp, nil
 }
 
-// appendRecord writes one record line to the namespace log in a single
-// write call. A failed write reseals the log with a newline best-effort so
-// a partial line cannot swallow the next record.
-func (st *fsStore) appendRecord(sp *fsNamespace, rec fileRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
+// appendRecord writes one frame to the namespace log in a single write
+// call and returns where its value landed. A failed write is cut off again
+// so a partial frame cannot swallow the next one.
+func (st *fsStore) appendRecord(sp *fsNamespace, op, key string, value []byte) (loc, error) {
+	l := loc{n: len(value), crc: crc32.Checksum(value, castagnoli)}
+	frame := appendFrame(make([]byte, 0, len(key)+len(value)+64), op, key, value, l.crc)
+	if _, err := sp.log.Write(frame); err != nil {
+		sp.log.Truncate(sp.size) //nolint:errcheck // best effort; replay cuts it otherwise
+		return loc{}, fmt.Errorf("persist: %w", err)
 	}
-	if _, err := sp.log.Write(append(line, '\n')); err != nil {
-		sp.log.Write([]byte("\n")) //nolint:errcheck // reseal a torn line
-		return fmt.Errorf("persist: %w", err)
-	}
+	l.off = sp.size + int64(len(frame)-len(value)-1)
+	sp.size += int64(len(frame))
 	sp.appended++
-	return nil
+	return l, nil
 }
 
 func (st *fsStore) put(ns, key string, value []byte, durable bool) error {
@@ -287,10 +444,11 @@ func (st *fsStore) put(ns, key string, value []byte, durable bool) error {
 	if err != nil {
 		return err
 	}
-	if err := st.appendRecord(sp, fileRecord{Op: "put", Key: key, Val: value}); err != nil {
+	l, err := st.appendRecord(sp, "put", key, value)
+	if err != nil {
 		return err
 	}
-	sp.live[key] = append([]byte(nil), value...)
+	sp.live[key] = l
 	st.stats.Puts++
 	if durable {
 		if err := sp.log.Sync(); err != nil {
@@ -319,7 +477,7 @@ func (st *fsStore) Delete(ns, key string) error {
 	if _, ok := sp.live[key]; !ok {
 		return nil
 	}
-	if err := st.appendRecord(sp, fileRecord{Op: "del", Key: key}); err != nil {
+	if _, err := st.appendRecord(sp, "del", key, nil); err != nil {
 		return err
 	}
 	delete(sp.live, key)
@@ -344,14 +502,10 @@ func (st *fsStore) DeletePrefix(ns, prefix string) error {
 	if !any {
 		return nil
 	}
-	if err := st.appendRecord(sp, fileRecord{Op: "delprefix", Key: prefix}); err != nil {
+	if _, err := st.appendRecord(sp, "delprefix", prefix, nil); err != nil {
 		return err
 	}
-	for k := range sp.live {
-		if strings.HasPrefix(k, prefix) {
-			delete(sp.live, k)
-		}
-	}
+	deletePrefix(sp.live, prefix)
 	st.stats.Deletes++
 	return st.maybeCompactLocked(ns, sp)
 }
@@ -363,11 +517,15 @@ func (st *fsStore) Get(ns, key string) ([]byte, bool, error) {
 	if err != nil || sp == nil {
 		return nil, false, err
 	}
-	v, ok := sp.live[key]
+	l, ok := sp.live[key]
 	if !ok {
 		return nil, false, nil
 	}
-	return append([]byte(nil), v...), true, nil
+	v, err := st.readValue(ns, sp, key, l)
+	if err != nil {
+		return nil, false, err
+	}
+	return v, true, nil
 }
 
 func (st *fsStore) Load(ns string) (map[string][]byte, error) {
@@ -378,8 +536,12 @@ func (st *fsStore) Load(ns string) (map[string][]byte, error) {
 		return map[string][]byte{}, err
 	}
 	out := make(map[string][]byte, len(sp.live))
-	for k, v := range sp.live {
-		out[k] = append([]byte(nil), v...)
+	for k, l := range sp.live {
+		v, err := st.readValue(ns, sp, k, l)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = v
 	}
 	return out, nil
 }
@@ -404,54 +566,65 @@ func (st *fsStore) Compact(ns string) error {
 	return st.compactLocked(ns, sp)
 }
 
-// compactLocked rewrites the namespace: the live records become a fresh
-// snapshot (written to a tmp file, synced, renamed), then the log is
-// atomically replaced by a header-only file. A crash between the two
-// renames replays the old log over the new snapshot — puts are upserts and
-// deletes idempotent, so that replay is harmless.
+// compactLocked rewrites the namespace: the frames of the live records are
+// copied, CRC-checked, into a fresh snapshot (written to a tmp file,
+// synced, renamed), then the log is atomically replaced by a header-only
+// file. A crash between the two renames replays the old log over the new
+// snapshot — puts are upserts and deletes idempotent, so that replay is
+// harmless.
 func (st *fsStore) compactLocked(ns string, sp *fsNamespace) error {
 	snapTmp := st.snapPath(ns) + ".tmp"
 	f, err := os.Create(snapTmp)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(fileHeader{Version: fileVersion, NS: ns}); err != nil {
+	fail := func(err error) error {
 		f.Close()
+		os.Remove(snapTmp) //nolint:errcheck
 		return fmt.Errorf("persist: %w", err)
 	}
+	w := bufio.NewWriter(f)
+	header := headerLine(ns)
+	w.Write(header) //nolint:errcheck // the Flush below reports write errors
+	offset := int64(len(header))
 	keys := make([]string, 0, len(sp.live))
 	for k := range sp.live {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	live := make(map[string]loc, len(keys))
+	var frame []byte
 	for _, k := range keys {
-		if err := enc.Encode(fileRecord{Op: "put", Key: k, Val: sp.live[k]}); err != nil {
+		l := sp.live[k]
+		v, err := st.readValue(ns, sp, k, l)
+		if err != nil {
 			f.Close()
-			return fmt.Errorf("persist: %w", err)
+			os.Remove(snapTmp) //nolint:errcheck
+			return err
 		}
+		frame = appendFrame(frame[:0], "put", k, v, l.crc)
+		w.Write(frame) //nolint:errcheck
+		live[k] = loc{snap: true, off: offset + int64(len(frame)-len(v)-1), n: l.n, crc: l.crc}
+		offset += int64(len(frame))
 	}
 	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: %w", err)
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: %w", err)
+		return fail(err)
 	}
 	if err := os.Rename(snapTmp, st.snapPath(ns)); err != nil {
-		return fmt.Errorf("persist: %w", err)
+		return fail(err)
 	}
-	fresh, err := st.freshLog(ns)
+	fresh, size, err := st.freshLog(ns)
 	if err != nil {
+		// The new snapshot is in place and the old log replays over it
+		// harmlessly; the open handles still read the old files.
+		f.Close()
 		return err
 	}
-	sp.log.Close() //nolint:errcheck // replaced handle; contents already snapshotted
-	sp.log = fresh
+	sp.close()
+	sp.log, sp.size, sp.snap, sp.live = fresh, size, f, live
 	sp.appended = 0
 	st.stats.Compactions++
 	st.syncDir()
@@ -485,16 +658,12 @@ func (st *fsStore) Close() error {
 	defer st.mu.Unlock()
 	var firstErr error
 	for _, sp := range st.spaces {
-		if sp.log == nil {
-			continue
+		if sp.log != nil {
+			if err := sp.log.Sync(); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
-		if err := sp.log.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := sp.log.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		sp.log = nil
+		sp.close()
 	}
 	return firstErr
 }

@@ -1,19 +1,32 @@
 // Package persist is the pluggable durable-state subsystem behind the
-// server's stateful layers: the session store, the async job engine, and
-// the campaign coordinator all journal their state through one small
-// namespaced key-value interface, so a jedserve killed mid-flight can be
-// restarted (or replaced by another replica pointed at the same state
-// directory) without losing sessions, finished job results, or campaign
-// progress.
+// server's stateful layers: the session store and the campaign table
+// journal their state through one small namespaced key-value interface, so
+// a jedserve killed mid-flight can be restarted (or replaced by another
+// replica pointed at the same state directory) without losing sessions,
+// finished campaign results, or campaign progress.
 //
 // Two stdlib-only implementations ship: Memory, which keeps records in a
 // map and therefore reproduces the pre-persistence behavior (state dies
 // with the process), and the filesystem store returned by Open, which
-// writes each namespace as an append-only JSONL record log next to a
-// periodically compacted snapshot. The log format is schema-versioned and
-// torn-tail tolerant exactly like the campaign checkpoint format: a record
-// only counts once its trailing newline reached storage, so a crash
-// mid-write costs at most the final record, never the file.
+// writes each namespace as an append-only record log (<ns>.log) next to a
+// periodically compacted snapshot (<ns>.snap). Both files start with a JSON
+// header line naming the schema version and the namespace; every record
+// after it is a frame
+//
+//	<hcrc> <op> <vlen> <vcrc> <key>\n<value>\n
+//
+// with the raw value bytes, its length, a CRC-32C of the value (vcrc) and a
+// CRC-32C of the header line itself (hcrc). Open checks every frame and
+// both CRCs but decodes no value; it keeps only where each live value sits,
+// and Get and Load read it back with ReadAt and check its CRC again. A
+// record counts once its frame is complete, so a crash mid-write costs at
+// most the final record, never the file; a complete frame that fails a
+// check is corruption, and Open refuses the directory.
+//
+// The schema version is 2. Open refuses a directory of any other version —
+// including version 1, which stored each value as base64 inside a JSON
+// line — with an error naming both versions, and changes no byte of it;
+// start such a server on an empty -state-dir.
 package persist
 
 import (

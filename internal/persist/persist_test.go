@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,7 +157,8 @@ func TestFSTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"put","key":"torn","val":"A`); err != nil {
+	torn := testFrame("put", "torn", []byte("AAAA"))
+	if _, err := f.Write(torn[:len(torn)-3]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -252,14 +254,95 @@ func TestFSVersionMismatch(t *testing.T) {
 	}
 }
 
-func TestFSCorruptLine(t *testing.T) {
+// TestFSRefusesV1 opens a directory written in the version 1 format (one
+// JSON line per record, values in base64), next to a compaction leftover:
+// Open names both versions, says how to start over, and leaves every file
+// byte for byte as it was.
+func TestFSRefusesV1(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "ns.log"), []byte(
-		"{\"persist\":1,\"ns\":\"ns\"}\n{\"op\":\"put\",\"key\":\"a\"}\nnot json\n"), 0o644); err != nil {
+	files := map[string]string{
+		"sessions.log":     "{\"persist\":1,\"ns\":\"sessions\"}\n{\"op\":\"put\",\"key\":\"s1\",\"val\":\"e30=\"}\n{\"op\":\"put\",\"key\":\"s2\",\"val\":\"e30",
+		"jobs.snap":        "{\"persist\":1,\"ns\":\"jobs\"}\n{\"op\":\"put\",\"key\":\"j1\",\"val\":\"e30=\"}\n",
+		"jobs.log":         "{\"persist\":1,\"ns\":\"jobs\"}\n",
+		"jobs.snap.tmp":    "partial",
+		"runs.log":         string(headerLine("runs")) + string(testFrame("put", "j1/header", []byte("{}")))[:9],
+		"notes-not-ns.txt": "hi",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := Open(dir)
+	if err == nil {
+		t.Fatal("version 1 directory opened")
+	}
+	for _, want := range []string{"schema version 1", "version 2", "empty -state-dir"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not say %q", err, want)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("complete garbage line accepted: %v", err)
+	if len(entries) != len(files) {
+		t.Fatalf("directory holds %d files after the refusal, want %d", len(entries), len(files))
+	}
+	for name, body := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != body {
+			t.Fatalf("%s changed by the refused Open: %q (err %v)", name, got, err)
+		}
+	}
+}
+
+func TestFSCorruptLine(t *testing.T) {
+	for name, tail := range map[string]string{
+		"garbage line":   "not a frame\n",
+		"value checksum": strings.Replace(string(testFrame("put", "b", []byte("two"))), "two", "tWo", 1),
+		"header field":   strings.Replace(string(testFrame("put", "b", []byte("two"))), `"b"`, `"c"`, 1),
+		"no newline":     strings.TrimSuffix(string(testFrame("put", "b", []byte("two"))), "\n") + "X",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			log := string(headerLine("ns")) + string(testFrame("put", "a", []byte("one"))) + tail +
+				string(testFrame("put", "c", []byte("three")))
+			if err := os.WriteFile(filepath.Join(dir, "ns.log"), []byte(log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("complete damaged frame accepted: %v", err)
+			}
+		})
+	}
+}
+
+// TestFSGetRechecksCRC damages a value on disk after Open indexed it: Get
+// and Load report the damage instead of returning the bytes.
+func TestFSGetRechecksCRC(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.PutDurable("ns", "k", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "ns.log")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.Replace(raw, []byte("payload"), []byte("paYload"), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Get("ns", "k"); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("Get of a damaged value: %v", err)
+	}
+	if _, err := st.Load("ns"); err == nil {
+		t.Fatal("Load of a damaged value succeeded")
 	}
 }
 
@@ -331,4 +414,9 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatalf("stat %s: %v", path, err)
 	}
 	return fi.Size()
+}
+
+// testFrame is the on-disk frame of one record.
+func testFrame(op, key string, value []byte) []byte {
+	return appendFrame(nil, op, key, value, crc32.Checksum(value, castagnoli))
 }
