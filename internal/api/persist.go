@@ -214,16 +214,15 @@ func (st *Store) dropPersisted(ids ...string) {
 var sessionSeqPat = regexp.MustCompile(`^s([0-9]+)$`)
 
 // RecoverSessions restores the session descriptors a previous process
-// persisted. Schedules are NOT rebuilt and documents are NOT decoded here:
+// persisted. Schedules are NOT rebuilt and documents are NOT read here:
 // each session hydrates lazily on its first access, so a restart decodes
-// the descriptors, not the documents. The repository benchmark's restart
-// (40 sessions of 2,000 tasks, 26.7 MB of documents) spends 0.4 ms here on
-// 2 vCPUs, plus 13 ms reading the documents for the orphan sweep: a
-// document whose descriptor is gone — a crash between the two writes of
-// persistSession or dropPersisted — is deleted. Call after pre-registering
-// file sessions (RegisterDir) — a persisted descriptor never displaces a
-// live session with the same ID, so freshly re-registered files win.
-// Returns how many sessions were restored.
+// the descriptors and lists the documents' keys, and a damaged document
+// fails only its own session's hydration. A document whose descriptor is
+// gone — a crash between the two writes of persistSession or
+// dropPersisted — is deleted. Call after pre-registering file sessions
+// (RegisterDir) — a persisted descriptor never displaces a live session
+// with the same ID, so freshly re-registered files win. Returns how many
+// sessions were restored.
 func (st *Store) RecoverSessions() (int, error) {
 	ps := st.persistStore()
 	if ps == nil {
@@ -281,14 +280,13 @@ func (st *Store) RecoverSessions() (int, error) {
 }
 
 // dropOrphanDocs deletes every journaled document that no "doc" descriptor
-// points at. persist.Store lists keys only through Load, so this reads the
-// documents once per restart without decoding them.
+// points at. It lists the documents' keys and reads none of their bytes.
 func (st *Store) dropOrphanDocs(ps persist.Store, hasDoc map[string]bool) error {
-	docs, err := ps.Load(docsNS)
+	ids, err := ps.Keys(docsNS)
 	if err != nil {
 		return err
 	}
-	for id := range docs {
+	for _, id := range ids {
 		if !hasDoc[id] {
 			if err := ps.Delete(docsNS, id); err != nil {
 				st.persistErrors.Add(1)

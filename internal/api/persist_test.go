@@ -68,13 +68,24 @@ func (s *crashStore) DeletePrefix(ns, prefix string) error {
 // runs: open store, register files, recover sessions, recover jobs.
 func startPersistServer(t *testing.T, dir, fileDir string) *persistHarness {
 	t.Helper()
+	return startPersistServerOver(t, dir, fileDir, nil)
+}
+
+// startPersistServerOver is startPersistServer with the server writing and
+// reading through wrap's store around the crash store (wrap may be nil).
+func startPersistServerOver(t *testing.T, dir, fileDir string, wrap func(persist.Store) persist.Store) *persistHarness {
+	t.Helper()
 	ps, err := persist.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs := &crashStore{Store: ps}
+	var through persist.Store = cs
+	if wrap != nil {
+		through = wrap(cs)
+	}
 	store := NewStore()
-	store.SetPersist(cs)
+	store.SetPersist(through)
 	if fileDir != "" {
 		if _, err := RegisterDir(store, fileDir); err != nil {
 			t.Fatal(err)
@@ -84,7 +95,7 @@ func startPersistServer(t *testing.T, dir, fileDir string) *persistHarness {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	if err := srv.EnablePersistence(cs); err != nil {
+	if err := srv.EnablePersistence(through); err != nil {
 		t.Fatal(err)
 	}
 	return &persistHarness{ts: httptest.NewServer(srv.Handler()), srv: srv, store: store, ps: ps, cs: cs}
@@ -304,13 +315,15 @@ func TestPersistOrphanDocDeleted(t *testing.T) {
 	}
 }
 
-// TestPersistDocMissingOrDamaged hand-edits a state directory so that one
-// descriptor's document is gone and, once the server has opened the store,
-// damages another's on disk: each session still lists, and its first
-// access drops it and counts one hydration failure instead of panicking.
+// TestPersistDocMissingOrDamaged hand-edits a state directory before the
+// server opens it: one descriptor's document is gone, another's is damaged
+// on disk. The server starts and lists every session, a third session
+// renders, and each of the two broken ones is dropped on its first access
+// and counts one hydration failure instead of panicking.
 func TestPersistDocMissingOrDamaged(t *testing.T) {
 	stateDir := t.TempDir()
 	h1 := startPersistServer(t, stateDir, "")
+	healthy := createUpload(t, h1.ts, "healthy")
 	missing := createUpload(t, h1.ts, "missing")
 	damaged := createUpload(t, h1.ts, "damaged")
 	h1.stop(t)
@@ -323,12 +336,6 @@ func TestPersistDocMissingOrDamaged(t *testing.T) {
 	}
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
-	}
-
-	h2 := startPersistServer(t, stateDir, "")
-	defer h2.stop(t)
-	if h2.store.Len() != 2 {
-		t.Fatalf("recovered %d sessions, want 2", h2.store.Len())
 	}
 	// The damaged session's document is the last one journaled, so the
 	// log's last closing tag lies inside it.
@@ -346,6 +353,17 @@ func TestPersistDocMissingOrDamaged(t *testing.T) {
 	}
 	f.Close()
 
+	h2 := startPersistServer(t, stateDir, "")
+	defer h2.stop(t)
+	if h2.store.Len() != 3 {
+		t.Fatalf("recovered %d sessions, want 3", h2.store.Len())
+	}
+	if code, _, _ := rawGet(t, h2.ts.URL+"/api/v1/sessions/"+healthy+"/render?format=svg"); code != 200 {
+		t.Fatalf("render of the healthy session = %d, want 200", code)
+	}
+	if n := h2.store.HydrationFailures(); n != 0 {
+		t.Fatalf("hydration failures after the healthy session = %d, want 0", n)
+	}
 	for i, id := range []string{missing, damaged} {
 		if code, _, _ := rawGet(t, h2.ts.URL+"/api/v1/sessions/"+id+"/stats"); code != 404 {
 			t.Fatalf("stats of %s = %d, want 404", id, code)
@@ -354,11 +372,62 @@ func TestPersistDocMissingOrDamaged(t *testing.T) {
 			t.Fatalf("hydration failures after %s = %d, want %d", id, n, i+1)
 		}
 	}
-	if h2.store.Len() != 0 {
-		t.Fatalf("%d sessions still listed", h2.store.Len())
+	if h2.store.Len() != 1 {
+		t.Fatalf("%d sessions still listed, want the healthy one", h2.store.Len())
 	}
-	if left, err := h2.ps.Load(sessionsNS); err != nil || len(left) != 0 {
-		t.Fatalf("descriptors left: %d (err %v)", len(left), err)
+	if left, err := h2.ps.Keys(sessionsNS); err != nil || len(left) != 1 || left[0] != healthy {
+		t.Fatalf("descriptors left: %q (err %v), want %s", left, err, healthy)
+	}
+}
+
+// docsGate fails every read of the docs namespace until it is opened.
+type docsGate struct {
+	persist.Store
+	open atomic.Bool
+}
+
+func (g *docsGate) Get(ns, key string) ([]byte, bool, error) {
+	if ns == docsNS && !g.open.Load() {
+		return nil, false, fmt.Errorf("document %s read before the first render", key)
+	}
+	return g.Store.Get(ns, key)
+}
+
+func (g *docsGate) Load(ns string) (map[string][]byte, error) {
+	if ns == docsNS && !g.open.Load() {
+		return nil, fmt.Errorf("documents read before the first render")
+	}
+	return g.Store.Load(ns)
+}
+
+// TestPersistRecoveryReadsNoDocument restarts over a store that fails every
+// read of a document until the first render: recovery and the session list
+// succeed without one, and the renders after the gate opens hydrate from
+// the journaled documents.
+func TestPersistRecoveryReadsNoDocument(t *testing.T) {
+	stateDir := t.TempDir()
+	h1 := startPersistServer(t, stateDir, "")
+	ids := []string{createUpload(t, h1.ts, "a"), createUpload(t, h1.ts, "b")}
+	h1.stop(t)
+
+	gate := &docsGate{}
+	h2 := startPersistServerOver(t, stateDir, "", func(s persist.Store) persist.Store {
+		gate.Store = s
+		return gate
+	})
+	defer h2.stop(t)
+	code, list := doJSON(t, "GET", h2.ts.URL+"/api/v1/sessions", nil, "")
+	if code != 200 || len(list["sessions"].([]any)) != len(ids) {
+		t.Fatalf("sessions after restart = %d %v", code, list)
+	}
+	gate.open.Store(true)
+	for _, id := range ids {
+		if code, _, _ := rawGet(t, h2.ts.URL+"/api/v1/sessions/"+id+"/render?format=svg"); code != 200 {
+			t.Fatalf("render of %s = %d, want 200", id, code)
+		}
+	}
+	if n := h2.store.HydrationFailures(); n != 0 {
+		t.Fatalf("hydration failures = %d, want 0", n)
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,11 +80,13 @@ type fsStore struct {
 }
 
 // Open opens (or initializes) a filesystem store rooted at dir, replaying
-// every namespace found there: snapshot first, then the log. Replay checks
-// each frame and its CRCs but decodes no value. Only once every file has
-// replayed does Open touch the directory — removing compaction leftovers
-// and cutting a torn final log record — so a directory it refuses (one of
-// another schema version, or corrupt) is left byte for byte as it was.
+// every namespace found there: snapshot first, then the log. Replay reads
+// frame headers only and checks them; a value's bytes are read, and its
+// CRC checked, only when Get, Load or a compaction reads it. Only once
+// every file has replayed does Open touch the directory — removing
+// compaction leftovers and cutting a torn final log record — so a
+// directory it refuses (one of another schema version, or with a damaged
+// frame header) is left byte for byte as it was.
 func Open(dir string) (Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
@@ -232,10 +235,16 @@ func headerLine(ns string) []byte {
 // newline. The header CRC is checked before the length is trusted, so a
 // damaged length is corruption, never a tail that looks torn.
 func appendFrame(buf []byte, op, key string, value []byte, vcrc uint32) []byte {
-	header := fmt.Appendf(nil, "%s %d %08x %s", op, len(value), vcrc, strconv.Quote(key))
-	buf = fmt.Appendf(buf, "%08x %s\n", crc32.Checksum(header, castagnoli), header)
+	buf = appendFrameHeader(buf, op, key, len(value), vcrc)
 	buf = append(buf, value...)
 	return append(buf, '\n')
+}
+
+// appendFrameHeader appends the header line of a frame whose value is vlen
+// bytes long.
+func appendFrameHeader(buf []byte, op, key string, vlen int, vcrc uint32) []byte {
+	header := fmt.Appendf(nil, "%s %d %08x %s", op, vlen, vcrc, strconv.Quote(key))
+	return fmt.Appendf(buf, "%08x %s\n", crc32.Checksum(header, castagnoli), header)
 }
 
 // frameHeader is a parsed frame header line.
@@ -251,8 +260,8 @@ func parseFrameHeader(line []byte) (frameHeader, error) {
 	if len(line) < 9 || line[8] != ' ' {
 		return h, errors.New("short frame header")
 	}
-	hcrc, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil || uint32(hcrc) != crc32.Checksum(line[9:], castagnoli) {
+	hcrc, ok := parseHex8(line[:8])
+	if !ok || hcrc != crc32.Checksum(line[9:], castagnoli) {
 		return h, errors.New("frame header checksum mismatch")
 	}
 	fields := bytes.SplitN(line[9:], []byte{' '}, 4)
@@ -265,24 +274,42 @@ func parseFrameHeader(line []byte) (frameHeader, error) {
 		return h, fmt.Errorf("bad value length %q", fields[1])
 	}
 	h.vlen = n
-	vcrc, err := strconv.ParseUint(string(fields[2]), 16, 32)
-	if err != nil || len(fields[2]) != 8 {
+	if h.vcrc, ok = parseHex8(fields[2]); !ok {
 		return h, fmt.Errorf("bad value checksum %q", fields[2])
 	}
-	h.vcrc = uint32(vcrc)
 	if h.key, err = strconv.Unquote(string(fields[3])); err != nil {
 		return h, fmt.Errorf("bad key %s", fields[3])
 	}
 	switch h.op {
 	case "put":
 	case "del", "delprefix":
-		if h.vlen != 0 {
+		if h.vlen != 0 || h.vcrc != 0 {
 			return h, fmt.Errorf("%s frame carries a value", h.op)
 		}
 	default:
 		return h, fmt.Errorf("unknown op %q", h.op)
 	}
 	return h, nil
+}
+
+// parseHex8 parses exactly 8 lowercase hex digits, the only spelling
+// appendFrame writes: a CRC spelled any other way is damage.
+func parseHex8(b []byte) (uint32, bool) {
+	if len(b) != 8 {
+		return 0, false
+	}
+	var v uint32
+	for _, c := range b {
+		switch {
+		case c >= '0' && c <= '9':
+			v = v<<4 | uint32(c-'0')
+		case c >= 'a' && c <= 'f':
+			v = v<<4 | uint32(c-'a'+10)
+		default:
+			return 0, false
+		}
+	}
+	return v, true
 }
 
 // readHeader reads and checks the version header line of one file.
@@ -305,12 +332,19 @@ func readHeader(br *bufio.Reader, path, ns string) (int64, error) {
 	return int64(len(line)), nil
 }
 
-// replayFile indexes every complete frame of one file into live, checking
-// both CRCs of each. A final frame cut short — the signature of a crash
-// mid-write — is dropped; a complete frame that fails a check is
-// corruption. It returns the byte extent of the complete frames and their
-// count.
+// replayFile indexes every complete frame of one file into live. It reads
+// frame headers only: it checks each header's CRC and fields, that the
+// value and the newline after it are all there, and that the newline is
+// one, but skips the value unread — its CRC is checked where the value is
+// read (readValue). A final frame cut short — the signature of a crash
+// mid-write — is dropped; a complete frame whose header or terminator
+// fails a check is corruption. It returns the byte extent of the complete
+// frames and their count.
 func replayFile(f *os.File, path, ns string, snap bool, live map[string]loc) (int64, int, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("persist: %w", err)
+	}
 	br := bufio.NewReaderSize(f, 1<<16)
 	offset, err := readHeader(br, path, ns)
 	if err != nil {
@@ -330,17 +364,15 @@ func replayFile(f *os.File, path, ns string, snap bool, live map[string]loc) (in
 			return 0, 0, fmt.Errorf("persist: %s corrupt at offset %d: %v", path, offset, err)
 		}
 		valueOff := offset + int64(len(line))
-		crc, complete, err := crcNext(br, h.vlen)
+		end := valueOff + int64(h.vlen) // where the frame's newline belongs
+		if end >= fi.Size() {
+			break // the value or its newline is cut short
+		}
+		nl, err := skipValue(f, br, h.vlen, end)
 		if err != nil {
 			return 0, 0, fmt.Errorf("persist: %s: %w", path, err)
 		}
-		if !complete {
-			break // the value or its newline is cut short
-		}
-		if crc != h.vcrc {
-			return 0, 0, fmt.Errorf("persist: %s corrupt at offset %d: value checksum mismatch", path, offset)
-		}
-		if nl, _ := br.ReadByte(); nl != '\n' {
+		if nl != '\n' {
 			return 0, 0, fmt.Errorf("persist: %s corrupt at offset %d: frame not newline-terminated", path, offset)
 		}
 		switch h.op {
@@ -352,34 +384,24 @@ func replayFile(f *os.File, path, ns string, snap bool, live map[string]loc) (in
 			deletePrefix(live, h.key)
 		}
 		records++
-		offset = valueOff + int64(h.vlen) + 1
+		offset = end + 1
 	}
 	return offset, records, nil
 }
 
-// crcNext checksums the next n bytes of br without copying them, and
-// reports whether they and the byte after them (the frame's newline) are
-// all there.
-func crcNext(br *bufio.Reader, n int) (uint32, bool, error) {
-	var crc uint32
-	for n > 0 {
-		chunk, err := br.Peek(min(n, br.Size()))
-		crc = crc32.Update(crc, castagnoli, chunk)
-		br.Discard(len(chunk)) //nolint:errcheck // peeked bytes are buffered
-		n -= len(chunk)
-		if err == io.EOF {
-			return 0, false, nil
+// skipValue moves br past the next n bytes, a value whose newline sits at
+// file offset end, and returns the byte at end. A value already buffered is
+// discarded; a longer one is seeked over, so its bytes are never read.
+func skipValue(f *os.File, br *bufio.Reader, n int, end int64) (byte, error) {
+	if n < br.Buffered() {
+		br.Discard(n) //nolint:errcheck // the bytes are buffered
+	} else {
+		if _, err := f.Seek(end, io.SeekStart); err != nil {
+			return 0, err
 		}
-		if err != nil {
-			return 0, false, err
-		}
+		br.Reset(f)
 	}
-	if _, err := br.Peek(1); err == io.EOF {
-		return 0, false, nil
-	} else if err != nil {
-		return 0, false, err
-	}
-	return crc, true, nil
+	return br.ReadByte()
 }
 
 func deletePrefix(live map[string]loc, prefix string) {
@@ -528,6 +550,16 @@ func (st *fsStore) Get(ns, key string) ([]byte, bool, error) {
 	return v, true, nil
 }
 
+func (st *fsStore) Keys(ns string) ([]string, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sp, err := st.space(ns, false)
+	if err != nil || sp == nil {
+		return nil, err
+	}
+	return slices.Sorted(maps.Keys(sp.live)), nil
+}
+
 func (st *fsStore) Load(ns string) (map[string][]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -567,11 +599,13 @@ func (st *fsStore) Compact(ns string) error {
 }
 
 // compactLocked rewrites the namespace: the frames of the live records are
-// copied, CRC-checked, into a fresh snapshot (written to a tmp file,
-// synced, renamed), then the log is atomically replaced by a header-only
-// file. A crash between the two renames replays the old log over the new
-// snapshot — puts are upserts and deletes idempotent, so that replay is
-// harmless.
+// copied into a fresh snapshot (written to a tmp file, synced, renamed),
+// then the log is atomically replaced by a header-only file. Each value is
+// copied unread, byte for byte, under the CRC recorded for it, so a damaged
+// value neither blocks compaction nor gets a fresh CRC that would hide the
+// damage: it keeps failing every read. A crash between the two renames
+// replays the old log over the new snapshot — puts are upserts and deletes
+// idempotent, so that replay is harmless.
 func (st *fsStore) compactLocked(ns string, sp *fsNamespace) error {
 	snapTmp := st.snapPath(ns) + ".tmp"
 	f, err := os.Create(snapTmp)
@@ -587,25 +621,18 @@ func (st *fsStore) compactLocked(ns string, sp *fsNamespace) error {
 	header := headerLine(ns)
 	w.Write(header) //nolint:errcheck // the Flush below reports write errors
 	offset := int64(len(header))
-	keys := make([]string, 0, len(sp.live))
-	for k := range sp.live {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	live := make(map[string]loc, len(keys))
+	live := make(map[string]loc, len(sp.live))
 	var frame []byte
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(sp.live)) {
 		l := sp.live[k]
-		v, err := st.readValue(ns, sp, k, l)
-		if err != nil {
-			f.Close()
-			os.Remove(snapTmp) //nolint:errcheck
-			return err
-		}
-		frame = appendFrame(frame[:0], "put", k, v, l.crc)
+		frame = appendFrameHeader(frame[:0], "put", k, l.n, l.crc)
 		w.Write(frame) //nolint:errcheck
-		live[k] = loc{snap: true, off: offset + int64(len(frame)-len(v)-1), n: l.n, crc: l.crc}
-		offset += int64(len(frame))
+		if _, err := io.CopyN(w, io.NewSectionReader(sp.file(l), l.off, int64(l.n)), int64(l.n)); err != nil {
+			return fail(fmt.Errorf("%s/%s: %w", ns, k, err))
+		}
+		w.WriteByte('\n') //nolint:errcheck
+		live[k] = loc{snap: true, off: offset + int64(len(frame)), n: l.n, crc: l.crc}
+		offset += int64(len(frame)+l.n) + 1
 	}
 	if err := w.Flush(); err != nil {
 		return fail(err)

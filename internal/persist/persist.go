@@ -16,12 +16,16 @@
 //	<hcrc> <op> <vlen> <vcrc> <key>\n<value>\n
 //
 // with the raw value bytes, its length, a CRC-32C of the value (vcrc) and a
-// CRC-32C of the header line itself (hcrc). Open checks every frame and
-// both CRCs but decodes no value; it keeps only where each live value sits,
-// and Get and Load read it back with ReadAt and check its CRC again. A
-// record counts once its frame is complete, so a crash mid-write costs at
-// most the final record, never the file; a complete frame that fails a
-// check is corruption, and Open refuses the directory.
+// CRC-32C of the header line itself (hcrc). Open reads frame headers only:
+// it checks each header's CRC and fields and that the value and its
+// terminating newline are all there, then skips the value unread, keeping
+// only where it sits and the CRC it must match. Get and Load read a value
+// with ReadAt and check that CRC, so every byte handed to a caller is
+// checked, and a damaged value fails the reads of its own key only; Keys
+// reads no value at all. A record counts once its frame is complete, so a
+// crash mid-write costs at most the final record, never the file; a
+// complete frame whose header or terminator fails a check is corruption,
+// and Open refuses the directory.
 //
 // The schema version is 2. Open refuses a directory of any other version —
 // including version 1, which stored each value as base64 inside a JSON
@@ -31,6 +35,8 @@ package persist
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -58,8 +64,12 @@ type Store interface {
 	// Get returns the current value of one record.
 	Get(ns, key string) (value []byte, ok bool, err error)
 	// Load returns a copy of every record in the namespace — the recovery
-	// read a restarted server performs once per subsystem.
+	// read a restarted server performs once per subsystem. It fails when
+	// any value of the namespace fails its check.
 	Load(ns string) (map[string][]byte, error)
+	// Keys returns the sorted keys of every record in the namespace
+	// without reading a value.
+	Keys(ns string) ([]string, error)
 	// Compact rewrites the namespace to its minimal form now (the
 	// filesystem store also compacts automatically once a log grows well
 	// past its live record count). A no-op for Memory.
@@ -202,6 +212,16 @@ func (m *memory) Load(ns string) (map[string][]byte, error) {
 		out[k] = append([]byte(nil), v...)
 	}
 	return out, nil
+}
+
+func (m *memory) Keys(ns string) ([]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sp, err := m.space(ns)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Sorted(maps.Keys(sp)), nil
 }
 
 func (m *memory) Compact(ns string) error { return validNS(ns) }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +96,61 @@ func TestDeletePrefix(t *testing.T) {
 			if _, ok := all[want]; !ok {
 				t.Fatalf("key %s missing after unrelated prefix delete", want)
 			}
+		}
+	})
+}
+
+// TestKeys checks after every kind of write, a compaction and a reopen
+// that Keys lists exactly the keys Load returns, sorted.
+func TestKeys(t *testing.T) {
+	backends(t, func(t *testing.T, open func(t *testing.T) Store) {
+		st := open(t)
+		check := func(step string, want ...string) {
+			t.Helper()
+			keys, err := st.Keys("ns")
+			if err != nil {
+				t.Fatalf("%s: Keys: %v", step, err)
+			}
+			all, err := st.Load("ns")
+			if err != nil {
+				t.Fatalf("%s: Load: %v", step, err)
+			}
+			if !slices.Equal(keys, slices.Sorted(maps.Keys(all))) || !slices.Equal(keys, want) {
+				t.Fatalf("%s: Keys = %q, Load has %q, want %q", step, keys, slices.Sorted(maps.Keys(all)), want)
+			}
+		}
+		check("empty")
+		for _, k := range []string{"j2/c/1", "s1", "j1/c/1", "j1/c/2", "s2"} {
+			if err := st.Put("ns", k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("put", "j1/c/1", "j1/c/2", "j2/c/1", "s1", "s2")
+		if err := st.Delete("ns", "s2"); err != nil {
+			t.Fatal(err)
+		}
+		check("del", "j1/c/1", "j1/c/2", "j2/c/1", "s1")
+		if err := st.DeletePrefix("ns", "j1/"); err != nil {
+			t.Fatal(err)
+		}
+		check("delprefix", "j2/c/1", "s1")
+		if err := st.Compact("ns"); err != nil {
+			t.Fatal(err)
+		}
+		check("compact", "j2/c/1", "s1")
+		if err := st.PutDurable("ns", "s3", nil); err != nil {
+			t.Fatal(err)
+		}
+		check("put after compact", "j2/c/1", "s1", "s3")
+		if _, ok := st.(*fsStore); ok {
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = open(t)
+			check("reopen", "j2/c/1", "s1", "s3")
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -297,12 +354,19 @@ func TestFSRefusesV1(t *testing.T) {
 	}
 }
 
+// TestFSCorruptLine damages the middle one of three frames. A damaged
+// header, or a terminator that is not a newline, is refused at Open as
+// corruption. A damaged value is not read at Open: the store opens, the
+// damaged key fails its Get and the Load of its namespace, and the other
+// keys read back.
 func TestFSCorruptLine(t *testing.T) {
+	frame := string(testFrame("put", "b", []byte("two"))) // "c6373669 put 3 ..."
 	for name, tail := range map[string]string{
-		"garbage line":   "not a frame\n",
-		"value checksum": strings.Replace(string(testFrame("put", "b", []byte("two"))), "two", "tWo", 1),
-		"header field":   strings.Replace(string(testFrame("put", "b", []byte("two"))), `"b"`, `"c"`, 1),
-		"no newline":     strings.TrimSuffix(string(testFrame("put", "b", []byte("two"))), "\n") + "X",
+		"garbage line":    "not a frame\n",
+		"value checksum":  strings.Replace(frame, "two", "tWo", 1),
+		"header field":    strings.Replace(frame, `"b"`, `"c"`, 1),
+		"header checksum": strings.ToUpper(frame[:8]) + frame[8:],
+		"no newline":      strings.TrimSuffix(frame, "\n") + "X",
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -311,11 +375,81 @@ func TestFSCorruptLine(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, "ns.log"), []byte(log), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
-				t.Fatalf("complete damaged frame accepted: %v", err)
+			st, err := Open(dir)
+			if name != "value checksum" {
+				if err == nil || !strings.Contains(err.Error(), "corrupt") {
+					st.Close()
+					t.Fatalf("complete damaged frame accepted: %v", err)
+				}
+				return
 			}
+			if err != nil {
+				t.Fatalf("Open refused a damaged value: %v", err)
+			}
+			defer st.Close()
+			checkDamaged(t, st, map[string]string{"a": "one", "b": "two", "c": "three"}, "b")
 		})
 	}
+}
+
+// checkDamaged asserts that ns holds exactly the keys of want, that the
+// value of bad fails its Get with a checksum error and so fails Load, and
+// that every other value reads back.
+func checkDamaged(t *testing.T, st Store, want map[string]string, bad string) {
+	t.Helper()
+	keys, err := st.Keys("ns")
+	if err != nil || !slices.Equal(keys, slices.Sorted(maps.Keys(want))) {
+		t.Fatalf("Keys = %q, %v; want the keys of %q", keys, err, want)
+	}
+	if _, _, err := st.Get("ns", bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("Get of damaged %q: %v", bad, err)
+	}
+	if _, err := st.Load("ns"); err == nil {
+		t.Fatal("Load of a namespace with a damaged value succeeded")
+	}
+	for k, v := range want {
+		if k == bad {
+			continue
+		}
+		if got, ok, err := st.Get("ns", k); err != nil || !ok || string(got) != v {
+			t.Fatalf("Get %q = %q, %v, %v; want %q", k, got, ok, err, v)
+		}
+	}
+}
+
+// TestFSCompactKeepsDamage compacts a namespace holding a damaged value:
+// the compaction succeeds, and the value keeps failing its read from the
+// snapshot, also after a reopen, while the other values read back.
+func TestFSCompactKeepsDamage(t *testing.T) {
+	dir := t.TempDir()
+	log := string(headerLine("ns")) + string(testFrame("put", "a", []byte("one"))) +
+		strings.Replace(string(testFrame("put", "b", []byte("two"))), "two", "tWo", 1) +
+		string(testFrame("put", "c", []byte("three")))
+	if err := os.WriteFile(filepath.Join(dir, "ns.log"), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"a": "one", "b": "two", "c": "three"}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact("ns"); err != nil {
+		t.Fatalf("Compact over a damaged value: %v", err)
+	}
+	checkDamaged(t, st, want, "b")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, "ns.snap"))
+	if err != nil || !bytes.Contains(snap, []byte("tWo")) {
+		t.Fatalf("snapshot does not hold the damaged bytes: %q, %v", snap, err)
+	}
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen of the compacted namespace: %v", err)
+	}
+	defer st2.Close()
+	checkDamaged(t, st2, want, "b")
 }
 
 // TestFSGetRechecksCRC damages a value on disk after Open indexed it: Get
@@ -407,7 +541,7 @@ func TestConcurrent(t *testing.T) {
 	})
 }
 
-func fileSize(t *testing.T, path string) int64 {
+func fileSize(t testing.TB, path string) int64 {
 	t.Helper()
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -419,4 +553,43 @@ func fileSize(t *testing.T, path string) int64 {
 // testFrame is the on-disk frame of one record.
 func testFrame(op, key string, value []byte) []byte {
 	return appendFrame(nil, op, key, value, crc32.Checksum(value, castagnoli))
+}
+
+// BenchmarkOpen opens a state directory whose one namespace is a log of
+// 10,000 small frames, or of 40 documents of ~650 KB each (the size of the
+// repository benchmark's restart documents).
+//
+//	go test -run '^$' -bench '^BenchmarkOpen$' -benchmem ./internal/persist
+func BenchmarkOpen(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		records int
+		size    int
+	}{{"small", 10000, 100}, {"docs", 40, 650 << 10}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dir := b.TempDir()
+			st, err := Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			value := bytes.Repeat([]byte("<task/>\n"), bc.size/8)
+			for i := 0; i < bc.records; i++ {
+				if err := st.Put("ns", fmt.Sprintf("s%d", i), value); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(fileSize(b, filepath.Join(dir, "ns.log")))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := Open(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.Close()
+			}
+		})
+	}
 }

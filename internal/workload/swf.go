@@ -114,8 +114,10 @@ func ScanSWF(r io.Reader, header func(key, value string), job func(Job) error) e
 				continue
 			}
 			if !ok {
-				_, err := strconv.ParseInt(string(fields[i]), 10, 64)
-				return fmt.Errorf("workload: line %d field %d: %v", lineNo, i+1, err)
+				var err error
+				if v, err = strconv.ParseInt(string(fields[i]), 10, 64); err != nil {
+					return fmt.Errorf("workload: line %d field %d: %v", lineNo, i+1, err)
+				}
 			}
 			vals[i] = v
 		}
@@ -176,8 +178,8 @@ func splitFields(line []byte, dst [][]byte) int {
 }
 
 // parseIntBytes parses a decimal integer from raw bytes, reporting ok=false
-// on any syntax problem or overflow (the caller falls back to strconv for
-// the canonical error message).
+// on any syntax problem or near overflow (the caller falls back to strconv,
+// which parses the largest values and words the canonical error).
 func parseIntBytes(b []byte) (int64, bool) {
 	if len(b) == 0 {
 		return 0, false
